@@ -11,14 +11,17 @@
 //     promises <= 1e-12);
 //   * the 158 x 240 single-shard CS solve (cs_reconstruct, default config)
 //     exact vs. fast — the end-to-end number behind the kernel tier's
-//     "- 2x" acceptance bar;
-//   * environment: repeat count, hardware_concurrency, detected CPU
-//     features and the fast path actually dispatched.
+//     "- 2x" acceptance bar — with each tier's GEMM FLOPs per solve, per
+//     kernel, and the GFLOP/s each tier reached on its own FLOPs;
+//   * environment: repeat count, hardware_concurrency, effective CPUs,
+//     detected CPU features and the fast path actually dispatched.
 //
 // `--baseline FILE` turns the binary into a CI gate: current fast/exact
 // speedups are compared against the stored ones and the process exits
 // non-zero when any kernel (or the CS solve) lost more than 20% of its
-// baseline speedup. Ratios, not absolute GFLOP/s, are compared so the gate
+// baseline speedup, or when the fast tier's CS solve does more than
+// kMaxFastFlopsRatio of the exact tier's GEMM FLOPs. Ratios, not absolute
+// GFLOP/s, are compared so the gate
 // survives machine changes; when the dispatched fast path differs from the
 // baseline's (e.g. scalar-blocked CI runner vs. AVX2 laptop) the gate is
 // skipped with a note instead of failing spuriously.
@@ -57,6 +60,12 @@ namespace {
 constexpr std::size_t kRows = 158;
 constexpr std::size_t kSlots = 240;
 constexpr std::size_t kRank = 16;
+
+// Deterministic gate: the fast tier's GEMM FLOPs per CS solve must stay at
+// most this fraction of the exact tier's. FLOP counts repeat exactly, so
+// unlike a timing gate this one cannot flake — it fails only when the
+// fast tier's carried-product path has come unwired (DESIGN.md §13).
+constexpr double kMaxFastFlopsRatio = 0.6;
 
 mcs::Matrix random_matrix(std::size_t rows, std::size_t cols,
                           std::uint64_t seed) {
@@ -303,6 +312,28 @@ mcs::Json bench_cs_solve(std::size_t repeat, bool quick) {
               << fast.wall_ms << " ms, speedup " << speedup
               << ", max rel dev " << deviation << "\n";
 
+    // FLOPs are counted per tier: the fast tier carries X = L·Rᵀ across
+    // half steps and takes one GEMM per gradient, so it does about half
+    // the exact tier's arithmetic for the same iterations.
+    const auto flops_json = [](const mcs::PipelineCounters& c) {
+        mcs::Json split = mcs::Json::object();
+        split["multiply"] = c.flops_multiply;
+        split["multiply_transposed"] = c.flops_multiply_transposed;
+        split["transpose_multiply"] = c.flops_transpose_multiply;
+        split["masked_residual"] = c.flops_masked_residual;
+        return split;
+    };
+    mcs::Json gemm_flops = mcs::Json::object();
+    gemm_flops["exact"] = exact.counters.gemm_flops;
+    gemm_flops["fast"] = fast.counters.gemm_flops;
+    mcs::Json by_kernel = mcs::Json::object();
+    by_kernel["exact"] = flops_json(exact.counters);
+    by_kernel["fast"] = flops_json(fast.counters);
+    const double flops_ratio =
+        static_cast<double>(fast.counters.gemm_flops) /
+        static_cast<double>(std::max<std::uint64_t>(
+            exact.counters.gemm_flops, 1));
+
     mcs::Json out = mcs::Json::object();
     out["participants"] = kRows;
     out["slots"] = kSlots;
@@ -311,18 +342,14 @@ mcs::Json bench_cs_solve(std::size_t repeat, bool quick) {
     out["speedup"] = speedup;
     out["speedup_target"] = 2.0;
     out["meets_target"] = speedup >= 2.0;
-    const std::uint64_t gemm_flops = exact.counters.gemm_flops;
-    out["gemm_flops_per_solve"] = gemm_flops;
-    mcs::Json split = mcs::Json::object();
-    split["multiply"] = exact.counters.flops_multiply;
-    split["multiply_transposed"] = exact.counters.flops_multiply_transposed;
-    split["transpose_multiply"] = exact.counters.flops_transpose_multiply;
-    split["masked_residual"] = exact.counters.flops_masked_residual;
-    out["flops_by_kernel"] = std::move(split);
-    out["exact_gflops"] =
-        static_cast<double>(gemm_flops) / (exact.wall_ms / 1000.0) / 1e9;
-    out["fast_gflops"] =
-        static_cast<double>(gemm_flops) / (fast.wall_ms / 1000.0) / 1e9;
+    out["gemm_flops_per_solve"] = std::move(gemm_flops);
+    out["flops_by_kernel"] = std::move(by_kernel);
+    out["fast_to_exact_gemm_flops"] = flops_ratio;
+    out["fast_to_exact_gemm_flops_max"] = kMaxFastFlopsRatio;
+    out["exact_gflops"] = static_cast<double>(exact.counters.gemm_flops) /
+                          (exact.wall_ms / 1000.0) / 1e9;
+    out["fast_gflops"] = static_cast<double>(fast.counters.gemm_flops) /
+                         (fast.wall_ms / 1000.0) / 1e9;
     out["asd_iterations_exact"] = exact.result.asd_iterations;
     out["asd_iterations_fast"] = fast.result.asd_iterations;
     out["max_rel_deviation"] = deviation;
@@ -335,6 +362,19 @@ constexpr double kKeepFraction = 0.8;
 
 int check_against_baseline(const mcs::Json& current,
                            const std::string& baseline_path) {
+    // Machine-independent, so it runs before the fast-path check below.
+    const double flops_ratio =
+        current.at("cs_solve").at("fast_to_exact_gemm_flops").as_number();
+    if (flops_ratio > kMaxFastFlopsRatio) {
+        std::cerr << "baseline gate: FLOP REGRESSION in cs_solve: fast tier "
+                     "does "
+                  << flops_ratio << "x the exact tier's GEMM FLOPs (max "
+                  << kMaxFastFlopsRatio << ")\n";
+        return 1;
+    }
+    std::cerr << "baseline gate: cs_solve fast/exact GEMM FLOPs "
+              << flops_ratio << " <= " << kMaxFastFlopsRatio << "\n";
+
     const mcs::Json baseline = mcs::read_json_file(baseline_path);
     const std::string current_path = current.at("fast_path").as_string();
     const std::string stored_path =

@@ -3,6 +3,7 @@
 #include "common/check.hpp"
 #include "common/failure.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernel_tier.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 
@@ -75,22 +76,42 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
     result.objective_history.reserve(options.max_iterations + 1);
     const std::size_t rank = result.l.cols();
 
-    // Buffers that live across iterations: the shared residuals plus one
-    // gradient/direction pair per factor. Everything else (Gram, transposed
-    // gradient, line-search products) is leased from `ws` inside each half
-    // step and recycled from its pool after the first iteration.
+    // Buffers that live across iterations: the residuals, one
+    // gradient/direction pair per factor, the product X = L·Rᵀ and the
+    // line search's product P along the search line. Everything else
+    // (Gram, transposed gradient, the exact tier's Δᵀ(E₃)) is leased from
+    // `ws` inside each half step and recycled from its pool after the first
+    // iteration.
     CsObjective::Residuals res;
     Scratch grad_r(ws, result.r.rows(), rank);
     Scratch dir_r(ws, result.r.rows(), rank);
     Scratch grad_l(ws, result.l.rows(), rank);
     Scratch dir_l(ws, result.l.rows(), rank);
+    Scratch x(ws, objective.rows(), objective.cols());
 
     // The objective is quadratic along every search line, so each exact
     // line search reports its own decrease; we track f analytically and
     // only pay for one full evaluation, at the start.
-    objective.residuals_into(res, result.l, result.r, ws);
-    double current = objective.value_from(res, result.l, result.r);
+    multiply_transposed_into(*x, result.l, result.r, ws.counters());
+    double current =
+        objective.value_from_product(*x, result.l, result.r, ws);
     result.objective_history.push_back(current);
+    Scratch p(ws, objective.rows(), objective.cols());
+
+    // After each step X must equal L·Rᵀ of the new factors. The exact tier
+    // recomputes the product (the seed arithmetic). The fast tier carries
+    // it: the step moved one factor by −α·D, and the residual is affine in
+    // X, so X ← X − α·P with the P the line search already formed, plus a
+    // full recompute every kProductRefreshPeriod iterations to bound the
+    // rounding drift.
+    const bool carry_product = active_kernel_tier() != KernelTier::kExact;
+    const auto follow_step = [&](double alpha, bool refresh) {
+        if (carry_product && !refresh) {
+            axpy(*x, -alpha, *p);
+        } else {
+            multiply_transposed_into(*x, result.l, result.r, ws.counters());
+        }
+    };
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         const double previous = current;
@@ -100,7 +121,7 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
         double gram_trace_l = 1.0;
         // Algorithm 2 lines 11–13: descent in R with L fixed.
         {
-            objective.residuals_into(res, result.l, result.r, ws);
+            objective.residuals_from_product(res, *x);
             objective.gradient_r_into(*grad_r, res, result.l, result.r, ws);
             const Matrix& direction = [&]() -> const Matrix& {
                 if (!options.scaled) {
@@ -113,13 +134,14 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
                 return *dir_r;
             }();
             const CsObjective::LineSearch step = objective.line_search_r(
-                res, result.l, result.r, direction, ws);
+                res, result.l, result.r, direction, *p, ws);
             axpy(result.r, -step.alpha, direction);
             current -= step.decrease;
+            follow_step(step.alpha, false);
         }
         // Algorithm 2 lines 14–16: descent in L with R fixed.
         {
-            objective.residuals_into(res, result.l, result.r, ws);
+            objective.residuals_from_product(res, *x);
             objective.gradient_l_into(*grad_l, res, result.l, result.r, ws);
             const Matrix& direction = [&]() -> const Matrix& {
                 if (!options.scaled) {
@@ -132,9 +154,11 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
                 return *dir_l;
             }();
             const CsObjective::LineSearch step = objective.line_search_l(
-                res, result.l, result.r, direction, ws);
+                res, result.l, result.r, direction, *p, ws);
             axpy(result.l, -step.alpha, direction);
             current -= step.decrease;
+            follow_step(step.alpha,
+                        (iter + 1) % kProductRefreshPeriod == 0);
         }
 
         result.objective_history.push_back(current);
@@ -169,6 +193,7 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
     if (ctx != nullptr) {
         ctx->counters().asd_iterations += result.iterations;
     }
+    result.product = std::move(*x);
     return result;
 }
 

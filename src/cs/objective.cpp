@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "detect/detection.hpp"
+#include "linalg/kernel_tier.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/temporal.hpp"
@@ -40,44 +41,81 @@ CsObjective::CsObjective(const Matrix& s, const Matrix& gbim,
 
 // ---- Workspace-backed core (single implementation of the arithmetic) ----
 
+namespace {
+
+void shape_to(Matrix& m, std::size_t rows, std::size_t cols) {
+    if (m.rows() != rows || m.cols() != cols) {
+        m = Matrix(rows, cols);
+    }
+}
+
+}  // namespace
+
 void CsObjective::residuals_into(Residuals& res, const Matrix& l,
                                  const Matrix& r, Workspace& ws) const {
-    const std::size_t n = rows();
-    const std::size_t t = cols();
-    if (res.m.rows() != n || res.m.cols() != t) {
-        res.m = Matrix(n, t);
-    }
-    if (temporal_active()) {
-        if (res.e3.rows() != n || res.e3.cols() != t) {
-            res.e3 = Matrix(n, t);
-        }
-        // One L·Rᵀ product feeds both residuals.
-        Scratch x(ws, n, t);
-        multiply_transposed_into(*x, l, r, ws.counters());
-        hadamard_into(res.m, *x, gbim_);
-        res.m -= s_;
-        temporal_diff_into(res.e3, *x);
-        res.e3 -= target_;
-    } else {
-        if (!res.e3.empty()) {
-            res.e3 = Matrix();
-        }
+    if (!temporal_active()) {
+        res.w = Matrix();
+        res.e3 = Matrix();
+        shape_to(res.m, rows(), cols());
         masked_residual_into(res.m, l, r, gbim_, s_, ws.counters());
+        return;
     }
+    // One L·Rᵀ product feeds both residuals.
+    Scratch x(ws, rows(), cols());
+    multiply_transposed_into(*x, l, r, ws.counters());
+    split_residuals_from(res, *x);
+}
+
+void CsObjective::split_residuals_from(Residuals& res,
+                                       const Matrix& x) const {
+    res.w = Matrix();
+    shape_to(res.m, rows(), cols());
+    if (temporal_active()) {
+        shape_to(res.e3, rows(), cols());
+    } else {
+        res.e3 = Matrix();
+    }
+    split_residuals_into(res.m, res.e3, x, gbim_, s_, target_);
+}
+
+void CsObjective::residuals_from_product(Residuals& res,
+                                         const Matrix& x) const {
+    if (active_kernel_tier() == KernelTier::kExact) {
+        split_residuals_from(res, x);
+        return;
+    }
+    res.m = Matrix();
+    res.e3 = Matrix();
+    shape_to(res.w, rows(), cols());
+    folded_residual_into(res.w, x, gbim_, s_, target_,
+                         temporal_active() ? lambda2_ : 0.0);
+}
+
+double CsObjective::value_from_product(const Matrix& x, const Matrix& l,
+                                       const Matrix& r, Workspace& ws) const {
+    Residuals res;
+    res.m = ws.acquire(rows(), cols());
+    if (temporal_active()) {
+        res.e3 = ws.acquire(rows(), cols());
+    }
+    split_residuals_into(res.m, res.e3, x, gbim_, s_, target_);
+    const double f = value_from(res, l, r);
+    ws.release(std::move(res.m));
+    ws.release(std::move(res.e3));
+    return f;
 }
 
 void CsObjective::gradient_l_into(Matrix& grad, const Residuals& res,
                                   const Matrix& l, const Matrix& r,
                                   Workspace& ws) const {
-    if (grad.rows() != l.rows() || grad.cols() != l.cols()) {
-        grad = Matrix(l.rows(), l.cols());
-    }
-    multiply_into(grad, res.m, r, ws.counters());  // M·R
+    shape_to(grad, l.rows(), l.cols());
+    const bool folded = !res.w.empty();
+    multiply_into(grad, folded ? res.w : res.m, r, ws.counters());  // M·R
     grad *= 2.0;
     if (lambda1_ != 0.0) {
         axpy(grad, 2.0 * lambda1_, l);
     }
-    if (temporal_active() && lambda2_ != 0.0) {
+    if (!folded && temporal_active() && lambda2_ != 0.0) {
         Scratch adj(ws, rows(), cols());
         Scratch tg(ws, l.rows(), l.cols());
         temporal_diff_adjoint_into(*adj, res.e3);
@@ -89,15 +127,15 @@ void CsObjective::gradient_l_into(Matrix& grad, const Residuals& res,
 void CsObjective::gradient_r_into(Matrix& grad, const Residuals& res,
                                   const Matrix& l, const Matrix& r,
                                   Workspace& ws) const {
-    if (grad.rows() != r.rows() || grad.cols() != r.cols()) {
-        grad = Matrix(r.rows(), r.cols());
-    }
-    transpose_multiply_into(grad, res.m, l, ws.counters());  // Mᵀ·L
+    shape_to(grad, r.rows(), r.cols());
+    const bool folded = !res.w.empty();
+    transpose_multiply_into(grad, folded ? res.w : res.m, l,
+                            ws.counters());  // Mᵀ·L
     grad *= 2.0;
     if (lambda1_ != 0.0) {
         axpy(grad, 2.0 * lambda1_, r);
     }
-    if (temporal_active() && lambda2_ != 0.0) {
+    if (!folded && temporal_active() && lambda2_ != 0.0) {
         Scratch adj(ws, rows(), cols());
         Scratch tg(ws, r.rows(), r.cols());
         temporal_diff_adjoint_into(*adj, res.e3);
@@ -106,25 +144,21 @@ void CsObjective::gradient_r_into(Matrix& grad, const Residuals& res,
     }
 }
 
-CsObjective::LineSearch CsObjective::line_search_l(const Residuals& res,
-                                                   const Matrix& l,
-                                                   const Matrix& r,
-                                                   const Matrix& dir,
-                                                   Workspace& ws) const {
-    // g(α) = f(L − α·D, R) = aα² + bα + c; α* = −b/2a, decrease b²/4a.
-    Scratch p_raw(ws, rows(), cols());
-    Scratch p(ws, rows(), cols());
-    multiply_transposed_into(*p_raw, dir, r, ws.counters());  // D·Rᵀ
-    hadamard_into(*p, *p_raw, gbim_);
-    double a = frobenius_norm_squared(*p) +
-               lambda1_ * frobenius_norm_squared(dir);
-    double b =
-        -2.0 * (frobenius_dot(res.m, *p) + lambda1_ * frobenius_dot(l, dir));
+// g(α) = f(…, F − α·D, …) = aα² + bα + c along the line through factor F;
+// α* = −b/2a, decrease b²/4a. P is the product the step changes X by.
+CsObjective::LineSearch CsObjective::line_search_from(const Residuals& res,
+                                                      const Matrix& factor,
+                                                      const Matrix& dir,
+                                                      const Matrix& p) const {
+    const LineSearchSums sums =
+        res.w.empty() ? line_search_sums(p, gbim_, res.m, res.e3)
+                      : folded_line_search_sums(p, gbim_, res.w);
+    double a = sums.masked_sq + lambda1_ * frobenius_norm_squared(dir);
+    double b = -2.0 * (sums.residual_dot +
+                       lambda1_ * frobenius_dot(factor, dir));
     if (temporal_active() && lambda2_ != 0.0) {
-        Scratch dp(ws, rows(), cols());
-        temporal_diff_into(*dp, *p_raw);
-        a += lambda2_ * frobenius_norm_squared(*dp);
-        b += -2.0 * lambda2_ * frobenius_dot(res.e3, *dp);
+        a += lambda2_ * sums.diff_sq;
+        b += -2.0 * lambda2_ * sums.diff_dot;
     }
     if (a <= 0.0) {
         return {};
@@ -132,29 +166,24 @@ CsObjective::LineSearch CsObjective::line_search_l(const Residuals& res,
     return {-b / (2.0 * a), b * b / (4.0 * a)};
 }
 
+CsObjective::LineSearch CsObjective::line_search_l(const Residuals& res,
+                                                   const Matrix& l,
+                                                   const Matrix& r,
+                                                   const Matrix& dir,
+                                                   Matrix& p,
+                                                   Workspace& ws) const {
+    multiply_transposed_into(p, dir, r, ws.counters());  // D·Rᵀ
+    return line_search_from(res, l, dir, p);
+}
+
 CsObjective::LineSearch CsObjective::line_search_r(const Residuals& res,
                                                    const Matrix& l,
                                                    const Matrix& r,
                                                    const Matrix& dir,
+                                                   Matrix& p,
                                                    Workspace& ws) const {
-    Scratch p_raw(ws, rows(), cols());
-    Scratch p(ws, rows(), cols());
-    multiply_transposed_into(*p_raw, l, dir, ws.counters());  // L·Dᵀ
-    hadamard_into(*p, *p_raw, gbim_);
-    double a = frobenius_norm_squared(*p) +
-               lambda1_ * frobenius_norm_squared(dir);
-    double b =
-        -2.0 * (frobenius_dot(res.m, *p) + lambda1_ * frobenius_dot(r, dir));
-    if (temporal_active() && lambda2_ != 0.0) {
-        Scratch dp(ws, rows(), cols());
-        temporal_diff_into(*dp, *p_raw);
-        a += lambda2_ * frobenius_norm_squared(*dp);
-        b += -2.0 * lambda2_ * frobenius_dot(res.e3, *dp);
-    }
-    if (a <= 0.0) {
-        return {};
-    }
-    return {-b / (2.0 * a), b * b / (4.0 * a)};
+    multiply_transposed_into(p, l, dir, ws.counters());  // L·Dᵀ
+    return line_search_from(res, r, dir, p);
 }
 
 // ---- Value-returning convenience API (wraps the kernels above) ----------
@@ -169,6 +198,7 @@ CsObjective::Residuals CsObjective::residuals(const Matrix& l,
 
 double CsObjective::value_from(const Residuals& res, const Matrix& l,
                                const Matrix& r) const {
+    MCS_CHECK_MSG(res.w.empty(), "CsObjective: value needs split residuals");
     double f = frobenius_norm_squared(res.m) +
                lambda1_ * (frobenius_norm_squared(l) +
                            frobenius_norm_squared(r));
@@ -211,7 +241,8 @@ CsObjective::LineSearch CsObjective::line_search_l(const Residuals& res,
                                                    const Matrix& r,
                                                    const Matrix& dir) const {
     Workspace ws;
-    return line_search_l(res, l, r, dir, ws);
+    Matrix p(rows(), cols());
+    return line_search_l(res, l, r, dir, p, ws);
 }
 
 CsObjective::LineSearch CsObjective::line_search_r(const Residuals& res,
@@ -219,7 +250,8 @@ CsObjective::LineSearch CsObjective::line_search_r(const Residuals& res,
                                                    const Matrix& r,
                                                    const Matrix& dir) const {
     Workspace ws;
-    return line_search_r(res, l, r, dir, ws);
+    Matrix p(rows(), cols());
+    return line_search_r(res, l, r, dir, p, ws);
 }
 
 double CsObjective::exact_step_l(const Matrix& l, const Matrix& r,

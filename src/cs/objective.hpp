@@ -56,24 +56,31 @@ public:
                         const Matrix& g) const;
 
     // ---- Low-level primitives used by the ASD inner loop ----------------
-    // These let the solver compute the shared residuals once per half-step
+    // These let the solver build the shared residuals once per half-step
     // instead of once per gradient/step call, and track the objective
-    // analytically (each exact line search knows its own decrease), halving
-    // the number of L·Rᵀ products per iteration.
+    // analytically (each exact line search knows its own decrease), so f is
+    // evaluated in full only once per solve.
 
-    /// Shared residuals: M = (LRᵀ)∘ℬ − S and E₃ = Δ(LRᵀ) − C (E₃ is an
-    /// empty matrix when the temporal term is inactive).
+    /// Shared residuals of one half-step. The split form keeps the two data
+    /// terms apart: M = (LRᵀ)∘ℬ − S and E₃ = Δ(LRᵀ) − C (E₃ is an empty
+    /// matrix when the temporal term is inactive). The folded form, built
+    /// by the fast tier's ASD loop, keeps only W = M + λ₂·Δᵀ(E₃) in `w`
+    /// and leaves `m` and `e3` empty: W is all that the gradients
+    /// (2·W·R, 2·Wᵀ·L) and the line search need, because M = M∘ℬ (ℬ is
+    /// 0/1) gives ⟨M, P∘ℬ⟩ + λ₂⟨E₃, ΔP⟩ = ⟨W, P⟩.
     struct Residuals {
         Matrix m;
         Matrix e3;
+        Matrix w;
     };
+    /// Split residuals of (L, R).
     Residuals residuals(const Matrix& l, const Matrix& r) const;
 
-    /// Objective value from precomputed residuals.
+    /// Objective value from split residuals.
     double value_from(const Residuals& res, const Matrix& l,
                       const Matrix& r) const;
 
-    /// Gradients from precomputed residuals.
+    /// Gradients from precomputed residuals (split or folded).
     Matrix gradient_l_from(const Residuals& res, const Matrix& l,
                            const Matrix& r) const;
     Matrix gradient_r_from(const Residuals& res, const Matrix& l,
@@ -94,26 +101,38 @@ public:
     // ---- Workspace-backed variants (the zero-allocation kernel API) -----
     // Same arithmetic as the methods above, but all temporaries come from
     // the caller's Workspace and results land in caller-owned buffers, so a
-    // warm ASD loop never touches the heap. `res.m` / `res.e3` and `grad`
-    // are (re)shaped on first use and reused verbatim afterwards.
+    // warm ASD loop never touches the heap. `res` members and `grad` are
+    // (re)shaped on first use and reused verbatim afterwards.
 
     /// residuals() into caller-owned `res` (allocates inside `res` only on
     /// shape change — i.e. the first call).
     void residuals_into(Residuals& res, const Matrix& l, const Matrix& r,
                         Workspace& ws) const;
 
-    /// gradient_l_from / gradient_r_from into caller-owned `grad`.
+    /// The ASD loop's residuals from its carried product X = L·Rᵀ, in one
+    /// fused pass: split on the exact tier (bit-identical to
+    /// residuals_into), folded on the fast and mixed tiers.
+    void residuals_from_product(Residuals& res, const Matrix& x) const;
+
+    /// f(L, R) given X = L·Rᵀ (split residuals in `ws` scratch).
+    double value_from_product(const Matrix& x, const Matrix& l,
+                              const Matrix& r, Workspace& ws) const;
+
+    /// gradient_l_from / gradient_r_from into caller-owned `grad`: one GEMM
+    /// on folded residuals, M·R plus Δᵀ(E₃)·R on split ones.
     void gradient_l_into(Matrix& grad, const Residuals& res, const Matrix& l,
                          const Matrix& r, Workspace& ws) const;
     void gradient_r_into(Matrix& grad, const Residuals& res, const Matrix& l,
                          const Matrix& r, Workspace& ws) const;
 
-    /// line_search_l / line_search_r with Workspace scratch.
+    /// line_search_l / line_search_r with the product along the line —
+    /// P = D·Rᵀ for L, L·Dᵀ for R — written into caller-owned `p`, so the
+    /// ASD loop can carry X forward as X − α·P.
     LineSearch line_search_l(const Residuals& res, const Matrix& l,
-                             const Matrix& r, const Matrix& dir,
+                             const Matrix& r, const Matrix& dir, Matrix& p,
                              Workspace& ws) const;
     LineSearch line_search_r(const Residuals& res, const Matrix& l,
-                             const Matrix& r, const Matrix& dir,
+                             const Matrix& r, const Matrix& dir, Matrix& p,
                              Workspace& ws) const;
 
     std::size_t rows() const { return s_.rows(); }
@@ -126,6 +145,11 @@ public:
 
 private:
     bool temporal_active() const { return mode_ != TemporalMode::kNone; }
+    /// Split residuals from X = L·Rᵀ into `res`.
+    void split_residuals_from(Residuals& res, const Matrix& x) const;
+    /// The line search's closed form from the fused sums over P.
+    LineSearch line_search_from(const Residuals& res, const Matrix& factor,
+                                const Matrix& dir, const Matrix& p) const;
 
     Matrix s_;      // S∘ℬ
     Matrix gbim_;   // ℬ

@@ -444,6 +444,91 @@ void temporal_diff_adjoint_into(Matrix& dst, const Matrix& e) {
     }
 }
 
+namespace {
+
+void check_same_shape(const Matrix& a, const Matrix& b, const char* op) {
+    MCS_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
+                  std::string(op) + ": shape mismatch " + a.shape_string() +
+                      " vs " + b.shape_string());
+}
+
+}  // namespace
+
+void split_residuals_into(Matrix& m, Matrix& e, const Matrix& x,
+                          const Matrix& mask, const Matrix& s,
+                          const Matrix& c) {
+    check_same_shape(x, mask, "split_residuals_into");
+    check_same_shape(x, s, "split_residuals_into");
+    check_shape(m, x.rows(), x.cols(), "split_residuals_into");
+    check_not_aliased(m, x, "split_residuals_into");
+    const bool temporal = !e.empty();
+    if (temporal) {
+        check_same_shape(x, c, "split_residuals_into");
+        check_shape(e, x.rows(), x.cols(), "split_residuals_into");
+        check_not_aliased(e, x, "split_residuals_into");
+    }
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+        for (std::size_t j = 0; j < x.cols(); ++j) {
+            m(i, j) = x(i, j) * mask(i, j) - s(i, j);
+            if (temporal) {
+                const double dx = j >= 1 ? x(i, j) - x(i, j - 1) : 0.0;
+                e(i, j) = dx - c(i, j);
+            }
+        }
+    }
+}
+
+void folded_residual_into(Matrix& w, const Matrix& x, const Matrix& mask,
+                          const Matrix& s, const Matrix& c, double lambda) {
+    check_same_shape(x, mask, "folded_residual_into");
+    check_same_shape(x, s, "folded_residual_into");
+    check_same_shape(x, c, "folded_residual_into");
+    check_shape(w, x.rows(), x.cols(), "folded_residual_into");
+    check_not_aliased(w, x, "folded_residual_into");
+    fastk::fast_kernels().folded_residual(
+        w.data().data(), x.data().data(), mask.data().data(),
+        s.data().data(), c.data().data(), lambda, x.rows(), x.cols());
+}
+
+LineSearchSums line_search_sums(const Matrix& p, const Matrix& mask,
+                                const Matrix& m, const Matrix& e) {
+    check_same_shape(p, mask, "line_search_sums");
+    check_same_shape(p, m, "line_search_sums");
+    const bool temporal = !e.empty();
+    if (temporal) {
+        check_same_shape(p, e, "line_search_sums");
+    }
+    LineSearchSums sums;
+    for (std::size_t i = 0; i < p.rows(); ++i) {
+        for (std::size_t j = 0; j < p.cols(); ++j) {
+            const double pm = p(i, j) * mask(i, j);
+            sums.masked_sq += pm * pm;
+            sums.residual_dot += m(i, j) * pm;
+            if (temporal) {
+                const double dp = j >= 1 ? p(i, j) - p(i, j - 1) : 0.0;
+                sums.diff_sq += dp * dp;
+                sums.diff_dot += e(i, j) * dp;
+            }
+        }
+    }
+    return sums;
+}
+
+LineSearchSums folded_line_search_sums(const Matrix& p, const Matrix& mask,
+                                       const Matrix& w) {
+    check_same_shape(p, mask, "folded_line_search_sums");
+    check_same_shape(p, w, "folded_line_search_sums");
+    double out[3];
+    fastk::fast_kernels().folded_line_search_sums(
+        p.data().data(), mask.data().data(), w.data().data(), p.rows(),
+        p.cols(), out);
+    LineSearchSums sums;
+    sums.masked_sq = out[0];
+    sums.diff_sq = out[1];
+    sums.residual_dot = out[2];
+    return sums;
+}
+
 Matrix Workspace::acquire(std::size_t rows, std::size_t cols) {
     if (counters_ != nullptr) {
         counters_->workspace_checkouts += 1;

@@ -128,6 +128,44 @@ void temporal_diff_into(Matrix& dst, const Matrix& x);
 /// Adjoint of temporal_diff_into under the Frobenius inner product.
 void temporal_diff_adjoint_into(Matrix& dst, const Matrix& e);
 
+// ---- Fused ASD passes (DESIGN.md §13) ----------------------------------
+//
+// One pass over the data-sized operands instead of a chain of element-wise
+// kernels, so an ASD half-step never materialises P∘mask or ΔP. Δ is the
+// temporal difference of temporal_diff_into. The split kernels are the
+// exact tier's: each output and each sum takes the same per-element
+// arithmetic, in the same row-major order, as the separate kernels and
+// frobenius_* reductions they replace, so they are bit-identical to them.
+// The folded kernels are the fast tier's (SIMD, fixed shape-determined
+// reduction order, not bit-identical to anything else).
+
+/// m = x∘mask − s and, unless e is empty, e = Δx − c (all the same shape).
+void split_residuals_into(Matrix& m, Matrix& e, const Matrix& x,
+                          const Matrix& mask, const Matrix& s,
+                          const Matrix& c);
+
+/// w = (x∘mask − s) + lambda·Δᵀ(Δx − c): both residual terms of the CS
+/// objective folded into the one matrix its gradients need.
+void folded_residual_into(Matrix& w, const Matrix& x, const Matrix& mask,
+                          const Matrix& s, const Matrix& c, double lambda);
+
+/// The sums an exact line search along a product P needs.
+struct LineSearchSums {
+    double masked_sq = 0.0;     ///< ‖P∘mask‖²_F
+    double diff_sq = 0.0;       ///< ‖ΔP‖²_F
+    double residual_dot = 0.0;  ///< ⟨m, P∘mask⟩ (split) or ⟨w, P⟩ (folded)
+    double diff_dot = 0.0;      ///< ⟨e, ΔP⟩ (split; 0 when e is empty or folded)
+};
+
+/// Split sums: ‖P∘mask‖², ⟨m, P∘mask⟩ and, unless e is empty, ‖ΔP‖² and
+/// ⟨e, ΔP⟩ — bit-identical to frobenius_* over hadamard / temporal_diff.
+LineSearchSums line_search_sums(const Matrix& p, const Matrix& mask,
+                                const Matrix& m, const Matrix& e);
+
+/// Folded sums: ‖P∘mask‖², ‖ΔP‖² and ⟨w, P⟩ (diff_dot stays 0).
+LineSearchSums folded_line_search_sums(const Matrix& p, const Matrix& mask,
+                                       const Matrix& w);
+
 /// Recycling arena for scratch matrices.
 ///
 /// acquire() returns a Matrix of the requested shape, reusing a pooled

@@ -144,6 +144,59 @@ void subtract(double* dst, const double* a, const double* b, std::size_t n) {
     }
 }
 
+// (Δx − c)(j) of one row for 1 ≤ j < cols, and 0 at j = 0 and j = cols:
+// the adjoint Δᵀ never reads column 0 of its argument, and column `cols`
+// does not exist, so both edges drop out of the folded residual.
+inline double temporal_residual(const double* x, const double* c,
+                                std::size_t j, std::size_t cols) {
+    return j >= 1 && j < cols ? x[j] - x[j - 1] - c[j] : 0.0;
+}
+
+// Element j of one row of the folded residual — the scalar edges of the
+// SIMD paths use it too.
+inline double folded_at(const double* x, const double* mask, const double* s,
+                        const double* c, double lambda, std::size_t j,
+                        std::size_t cols) {
+    return x[j] * mask[j] - s[j] +
+           lambda * (temporal_residual(x, c, j, cols) -
+                     temporal_residual(x, c, j + 1, cols));
+}
+
+void folded_residual(double* dst, const double* x, const double* mask,
+                     const double* s, const double* c, double lambda,
+                     std::size_t rows, std::size_t cols) {
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t o = i * cols;
+        for (std::size_t j = 0; j < cols; ++j) {
+            dst[o + j] = folded_at(x + o, mask + o, s + o, c + o, lambda, j,
+                                   cols);
+        }
+    }
+}
+
+void folded_line_search_sums(const double* p, const double* mask,
+                             const double* w, std::size_t rows,
+                             std::size_t cols, double* out) {
+    double masked = 0.0;
+    double diff = 0.0;
+    double dot = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t o = i * cols;
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double pm = p[o + j] * mask[o + j];
+            masked += pm * pm;
+            if (j >= 1) {
+                const double d = p[o + j] - p[o + j - 1];
+                diff += d * d;
+            }
+            dot += w[o + j] * p[o + j];
+        }
+    }
+    out[0] = masked;
+    out[1] = diff;
+    out[2] = dot;
+}
+
 }  // namespace blocked
 
 // ---- AVX2 + FMA --------------------------------------------------------
@@ -482,6 +535,90 @@ void subtract(double* dst, const double* a, const double* b, std::size_t n) {
     }
 }
 
+// The vector body covers 1 ≤ j and j + 4 < cols, where every lane has both
+// temporal neighbours in the row; column 0 and the last few columns take
+// the scalar edge.
+MCS_TARGET_AVX2
+void folded_residual(double* dst, const double* x, const double* mask,
+                     const double* s, const double* c, double lambda,
+                     std::size_t rows, std::size_t cols) {
+    const __m256d vl = _mm256_set1_pd(lambda);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t o = i * cols;
+        const double* xi = x + o;
+        const double* mi = mask + o;
+        const double* si = s + o;
+        const double* ci = c + o;
+        double* wi = dst + o;
+        std::size_t j = 0;
+        if (cols > 0) {
+            wi[0] = blocked::folded_at(xi, mi, si, ci, lambda, 0, cols);
+            j = 1;
+        }
+        for (; j + 4 < cols; j += 4) {
+            const __m256d xm = _mm256_loadu_pd(xi + j - 1);
+            const __m256d x0 = _mm256_loadu_pd(xi + j);
+            const __m256d xp = _mm256_loadu_pd(xi + j + 1);
+            const __m256d e0 =
+                _mm256_sub_pd(_mm256_sub_pd(x0, xm), _mm256_loadu_pd(ci + j));
+            const __m256d e1 = _mm256_sub_pd(_mm256_sub_pd(xp, x0),
+                                             _mm256_loadu_pd(ci + j + 1));
+            const __m256d fit = _mm256_fmsub_pd(x0, _mm256_loadu_pd(mi + j),
+                                                _mm256_loadu_pd(si + j));
+            _mm256_storeu_pd(
+                wi + j, _mm256_fmadd_pd(vl, _mm256_sub_pd(e0, e1), fit));
+        }
+        for (; j < cols; ++j) {
+            wi[j] = blocked::folded_at(xi, mi, si, ci, lambda, j, cols);
+        }
+    }
+}
+
+// Three vector accumulators carried across rows, plus scalar ones for
+// column 0 and the row tails; the reduction tree depends on the shape only.
+MCS_TARGET_AVX2
+void folded_line_search_sums(const double* p, const double* mask,
+                             const double* w, std::size_t rows,
+                             std::size_t cols, double* out) {
+    __m256d vmasked = _mm256_setzero_pd();
+    __m256d vdiff = _mm256_setzero_pd();
+    __m256d vdot = _mm256_setzero_pd();
+    double masked = 0.0;
+    double diff = 0.0;
+    double dot = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::size_t o = i * cols;
+        const double* pi = p + o;
+        const double* mi = mask + o;
+        const double* wi = w + o;
+        std::size_t j = 0;
+        if (cols > 0) {
+            const double pm = pi[0] * mi[0];
+            masked = std::fma(pm, pm, masked);
+            dot = std::fma(wi[0], pi[0], dot);
+            j = 1;
+        }
+        for (; j + 4 <= cols; j += 4) {
+            const __m256d pv = _mm256_loadu_pd(pi + j);
+            const __m256d pm = _mm256_mul_pd(pv, _mm256_loadu_pd(mi + j));
+            vmasked = _mm256_fmadd_pd(pm, pm, vmasked);
+            const __m256d d = _mm256_sub_pd(pv, _mm256_loadu_pd(pi + j - 1));
+            vdiff = _mm256_fmadd_pd(d, d, vdiff);
+            vdot = _mm256_fmadd_pd(_mm256_loadu_pd(wi + j), pv, vdot);
+        }
+        for (; j < cols; ++j) {
+            const double pm = pi[j] * mi[j];
+            masked = std::fma(pm, pm, masked);
+            const double d = pi[j] - pi[j - 1];
+            diff = std::fma(d, d, diff);
+            dot = std::fma(wi[j], pi[j], dot);
+        }
+    }
+    out[0] = hsum(vmasked) + masked;
+    out[1] = hsum(vdiff) + diff;
+    out[2] = hsum(vdot) + dot;
+}
+
 }  // namespace avx2
 #endif  // MCS_HAVE_X86_DISPATCH
 
@@ -653,7 +790,9 @@ FastKernels resolve_table() {
                   &blocked::masked_residual_rows,
                   &blocked::hadamard,
                   &blocked::axpy,
-                  &blocked::subtract};
+                  &blocked::subtract,
+                  &blocked::folded_residual,
+                  &blocked::folded_line_search_sums};
 #if defined(MCS_HAVE_X86_DISPATCH)
     if (cpu_features().avx2 && cpu_features().fma) {
         t = FastKernels{"avx2+fma",
@@ -663,7 +802,9 @@ FastKernels resolve_table() {
                         &avx2::masked_residual_rows,
                         &avx2::hadamard,
                         &avx2::axpy,
-                        &avx2::subtract};
+                        &avx2::subtract,
+                        &avx2::folded_residual,
+                        &avx2::folded_line_search_sums};
     }
 #elif defined(MCS_HAVE_NEON)
     t = FastKernels{"neon",
@@ -673,7 +814,9 @@ FastKernels resolve_table() {
                     &neon::masked_residual_rows,
                     &neon::hadamard,
                     &neon::axpy,
-                    &neon::subtract};
+                    &neon::subtract,
+                    &blocked::folded_residual,
+                    &blocked::folded_line_search_sums};
 #endif
     return t;
 }

@@ -61,6 +61,18 @@ struct FastKernels {
     /// dst[i] = a[i] - b[i] for i in [0, n).
     void (*subtract)(double* dst, const double* a, const double* b,
                      std::size_t n);
+
+    /// Full dst(rows x cols) = (x∘mask − s) + lambda·Δᵀ(Δx − c), where
+    /// Δ is the temporal difference with its first column zeroed
+    /// (linalg/temporal.hpp) and Δᵀ its adjoint. All operands rows x cols.
+    void (*folded_residual)(double* dst, const double* x, const double* mask,
+                            const double* s, const double* c, double lambda,
+                            std::size_t rows, std::size_t cols);
+
+    /// out = {Σ(p∘mask)², Σ(Δp)², Σ w·p} over rows x cols operands.
+    void (*folded_line_search_sums)(const double* p, const double* mask,
+                                    const double* w, std::size_t rows,
+                                    std::size_t cols, double* out);
 };
 
 /// The table for this CPU, resolved on first call and fixed thereafter.

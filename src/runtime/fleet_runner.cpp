@@ -449,6 +449,42 @@ void verify_mixed_shard(const RuntimeConfig& rcfg, const ItscsConfig& config,
     }
 }
 
+// Fleet-wide diagnostics after the barrier: iterations is the slowest
+// shard, converged the conjunction, and history[k] the sum over shards of
+// each shard's state after framework iteration k+1. A shard that already
+// converged (or stopped) holds its last state — its flagged cells and CS
+// objectives still count, with no detection changes — so every entry
+// describes the whole fleet and history.back().flagged is the final total.
+void merge_fleet_diagnostics(
+    ItscsResult& aggregate, const std::vector<ShardRunReport>& shards,
+    const std::vector<std::vector<ItscsIterationStats>>& histories) {
+    aggregate.converged = true;
+    for (const ShardRunReport& report : shards) {
+        aggregate.iterations = std::max(aggregate.iterations,
+                                        report.iterations);
+        aggregate.converged = aggregate.converged && report.converged;
+    }
+    aggregate.history.resize(aggregate.iterations);
+    for (std::size_t k = 0; k < aggregate.iterations; ++k) {
+        ItscsIterationStats& merged = aggregate.history[k];
+        merged.iteration = k + 1;
+        for (const auto& history : histories) {
+            if (history.empty()) {
+                continue;
+            }
+            const bool live = k < history.size();
+            const ItscsIterationStats& state =
+                live ? history[k] : history.back();
+            merged.flagged += state.flagged;
+            if (live) {
+                merged.detection_changes += state.detection_changes;
+            }
+            merged.cs_objective_x += state.cs_objective_x;
+            merged.cs_objective_y += state.cs_objective_y;
+        }
+    }
+}
+
 }  // namespace
 
 FleetRunner::FleetRunner(RuntimeConfig config)
@@ -952,29 +988,7 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
         ws.clear();
     }
 
-    // Aggregate diagnostics: iterations is the slowest shard, converged
-    // the conjunction, history the per-iteration sum over shards (shards
-    // already converged contribute nothing to later iterations).
-    out.aggregate.converged = true;
-    for (const ShardRunReport& report : out.shards) {
-        out.aggregate.iterations =
-            std::max(out.aggregate.iterations, report.iterations);
-        out.aggregate.converged =
-            out.aggregate.converged && report.converged;
-    }
-    out.aggregate.history.resize(out.aggregate.iterations);
-    for (std::size_t k = 0; k < out.aggregate.iterations; ++k) {
-        ItscsIterationStats& merged = out.aggregate.history[k];
-        merged.iteration = k + 1;
-        for (const auto& history : histories) {
-            if (k < history.size()) {
-                merged.flagged += history[k].flagged;
-                merged.detection_changes += history[k].detection_changes;
-                merged.cs_objective_x += history[k].cs_objective_x;
-                merged.cs_objective_y += history[k].cs_objective_y;
-            }
-        }
-    }
+    merge_fleet_diagnostics(out.aggregate, out.shards, histories);
     return out;
 }
 
@@ -1336,26 +1350,7 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
         ws.clear();
     }
 
-    out.aggregate.converged = true;
-    for (const ShardRunReport& report : out.shards) {
-        out.aggregate.iterations =
-            std::max(out.aggregate.iterations, report.iterations);
-        out.aggregate.converged =
-            out.aggregate.converged && report.converged;
-    }
-    out.aggregate.history.resize(out.aggregate.iterations);
-    for (std::size_t k = 0; k < out.aggregate.iterations; ++k) {
-        ItscsIterationStats& merged = out.aggregate.history[k];
-        merged.iteration = k + 1;
-        for (const auto& history : histories) {
-            if (k < history.size()) {
-                merged.flagged += history[k].flagged;
-                merged.detection_changes += history[k].detection_changes;
-                merged.cs_objective_x += history[k].cs_objective_x;
-                merged.cs_objective_y += history[k].cs_objective_y;
-            }
-        }
-    }
+    merge_fleet_diagnostics(out.aggregate, out.shards, histories);
     return out;
 }
 

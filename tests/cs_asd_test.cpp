@@ -8,10 +8,16 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "corruption/scenario.hpp"
 #include "cs/init.hpp"
+#include "cs/solver_backend.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernel_tier.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/temporal.hpp"
+#include "trace/simulator.hpp"
 
 namespace mcs {
 namespace {
@@ -263,6 +269,194 @@ INSTANTIATE_TEST_SUITE_P(
     RankAndDensity, AsdDescentProperty,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4),
                        ::testing::Values(0.4, 0.6, 0.9)));
+
+// ---- ASD properties across kernel tiers --------------------------------
+//
+// The fast tier carries X = L·Rᵀ across half steps and folds the residuals
+// (DESIGN.md §13); the exact tier recomputes X and keeps the seed's split
+// residuals. These tests pin down what each promises.
+
+// A temporal (kVelocity) completion problem, so the folded Δᵀ term and the
+// ⟨E₃, ΔP⟩ line-search term are live.
+struct TemporalProblem {
+    CsObjective objective;
+    FactorPair start;
+};
+
+TemporalProblem make_temporal(std::size_t n, std::size_t t,
+                              std::size_t rank, std::uint64_t seed) {
+    Rng rng(seed);
+    const Matrix truth = multiply_transposed(random_matrix(n, rank, rng, 3.0),
+                                             random_matrix(t, rank, rng, 3.0));
+    Matrix mask(n, t);
+    for (auto& x : mask.data()) {
+        x = rng.bernoulli(0.7) ? 1.0 : 0.0;
+    }
+    const Matrix velocity = random_matrix(n, t, rng, 0.1);
+    const Matrix s = hadamard(truth, mask);
+    CsObjective objective(s, mask, average_velocity(velocity), 30.0, 1e-6,
+                          1.0, TemporalMode::kVelocity);
+    FactorPair start = warm_start(s, mask, rank);
+    return {std::move(objective), std::move(start)};
+}
+
+// One paper-scale shard (158 x 240, default CsConfig, row-centred like
+// solve_centered_completion) — the shape batch_fleet solves.
+TemporalProblem make_paper_scale_shard() {
+    const TraceDataset truth = make_paper_scale_dataset(1);
+    CorruptionConfig corruption;
+    corruption.missing_ratio = 0.2;
+    corruption.fault_ratio = 0.2;
+    corruption.seed = 5;
+    const CorruptedDataset data = corrupt(truth, corruption);
+    const std::vector<double> means =
+        trusted_row_means(data.sx, data.existence);
+    Matrix centered = data.sx;
+    for (std::size_t i = 0; i < centered.rows(); ++i) {
+        for (std::size_t j = 0; j < centered.cols(); ++j) {
+            if (data.existence(i, j) != 0.0) {
+                centered(i, j) -= means[i];
+            }
+        }
+    }
+    const CsConfig config;
+    const std::size_t rank = recommended_rank(
+        centered.rows(), centered.cols(), config.mode);
+    CsObjective objective(centered, data.existence,
+                          average_velocity(data.vx), data.tau_s,
+                          config.lambda1, config.lambda2, config.mode);
+    FactorPair start =
+        warm_start(objective.masked_sensory(), data.existence, rank);
+    return {std::move(objective), std::move(start)};
+}
+
+double relative_frobenius(const Matrix& got, const Matrix& want) {
+    return frobenius_norm(subtract(got, want)) / frobenius_norm(want);
+}
+
+class AsdTierProperty : public ::testing::TestWithParam<KernelTier> {};
+
+// (i) Every half step's exact line search decreases f by exactly what it
+// reports (≥ 0), built from the same carried-product residuals the solver
+// uses; and the solver's objective history never rises.
+TEST_P(AsdTierProperty, EveryHalfStepDescends) {
+    const KernelTierScope tier(GetParam());
+    const TemporalProblem problem = make_temporal(24, 40, 4, 21);
+    const CsObjective& objective = problem.objective;
+    Matrix l = problem.start.l;
+    Matrix r = problem.start.r;
+    Workspace ws;
+    CsObjective::Residuals res;
+    Matrix p(24, 40);
+    for (std::size_t iter = 0; iter < 30; ++iter) {
+        for (const bool r_step : {true, false}) {
+            const double before = objective.value(l, r);
+            objective.residuals_from_product(res, multiply_transposed(l, r));
+            const Matrix grad = r_step ? objective.gradient_r_from(res, l, r)
+                                       : objective.gradient_l_from(res, l, r);
+            const CsObjective::LineSearch step =
+                r_step ? objective.line_search_r(res, l, r, grad, p, ws)
+                       : objective.line_search_l(res, l, r, grad, p, ws);
+            EXPECT_GE(step.decrease, 0.0);
+            axpy(r_step ? r : l, -step.alpha, grad);
+            const double after = objective.value(l, r);
+            EXPECT_NEAR(before - after, step.decrease, 1e-9 * before)
+                << "iteration " << iter << (r_step ? " R" : " L");
+        }
+    }
+
+    AsdOptions options;
+    options.max_iterations = 120;
+    options.relative_tolerance = 0.0;
+    const AsdResult result = asd_minimize(objective, problem.start.l,
+                                          problem.start.r, options);
+    ASSERT_EQ(result.objective_history.size(), 121u);
+    for (std::size_t i = 1; i < result.objective_history.size(); ++i) {
+        EXPECT_LE(result.objective_history[i],
+                  result.objective_history[i - 1])
+            << "objective rose at iteration " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, AsdTierProperty,
+                         ::testing::Values(KernelTier::kExact,
+                                           KernelTier::kFast));
+
+// (ii) The fast tier's drift contract on the paper-scale shard: the
+// carried X stays within 1e-10 of a fresh L·Rᵀ, and the solve ends where
+// the exact tier's does.
+TEST(AsdCarriedProduct, FastTierStaysOnExactTrajectory) {
+    const TemporalProblem problem = make_paper_scale_shard();
+    const AsdOptions options;  // production defaults
+    const auto solve = [&](KernelTier tier) {
+        const KernelTierScope scope(tier);
+        return asd_minimize(problem.objective, problem.start.l,
+                            problem.start.r, options);
+    };
+    const AsdResult exact = solve(KernelTier::kExact);
+    const AsdResult fast = solve(KernelTier::kFast);
+    // Long enough that the carried product went through a refresh.
+    ASSERT_GT(fast.iterations, kProductRefreshPeriod);
+
+    const Matrix fresh = multiply_transposed(fast.l, fast.r);
+    EXPECT_LE(relative_frobenius(fast.product, fresh), 1e-10);
+    // The exact tier recomputes X after every step.
+    EXPECT_TRUE(exact.product == multiply_transposed(exact.l, exact.r));
+
+    EXPECT_EQ(fast.iterations, exact.iterations);
+    EXPECT_NEAR(fast.objective_history.back(),
+                exact.objective_history.back(),
+                1e-8 * exact.objective_history.back());
+}
+
+// (iii) The exact tier's solver is the seed algorithm: plain (unscaled)
+// ASD written out with CsObjective's value-returning API gives the very
+// same factors, bit for bit, in every temporal mode.
+TEST(AsdCarriedProduct, ExactTierMatchesValueApiReferenceBitForBit) {
+    for (const TemporalMode mode :
+         {TemporalMode::kVelocity, TemporalMode::kTemporalOnly,
+          TemporalMode::kNone}) {
+        const KernelTierScope tier(KernelTier::kExact);
+        Rng rng(77);
+        const Matrix truth = multiply_transposed(
+            random_matrix(18, 3, rng, 3.0), random_matrix(30, 3, rng, 3.0));
+        Matrix mask(18, 30);
+        for (auto& x : mask.data()) {
+            x = rng.bernoulli(0.75) ? 1.0 : 0.0;
+        }
+        const Matrix s = hadamard(truth, mask);
+        const CsObjective objective(s, mask,
+                                    random_matrix(18, 30, rng, 0.1), 30.0,
+                                    1e-6, 1.0, mode);
+        const FactorPair start = warm_start(s, mask, 3);
+
+        AsdOptions options;
+        options.scaled = false;
+        options.max_iterations = 25;
+        options.relative_tolerance = 0.0;
+        const AsdResult solved =
+            asd_minimize(objective, start.l, start.r, options);
+
+        Matrix l = start.l;
+        Matrix r = start.r;
+        double f = objective.value(l, r);
+        for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+            auto res = objective.residuals(l, r);
+            Matrix grad = objective.gradient_r_from(res, l, r);
+            auto step = objective.line_search_r(res, l, r, grad);
+            axpy(r, -step.alpha, grad);
+            f -= step.decrease;
+            res = objective.residuals(l, r);
+            grad = objective.gradient_l_from(res, l, r);
+            step = objective.line_search_l(res, l, r, grad);
+            axpy(l, -step.alpha, grad);
+            f -= step.decrease;
+        }
+        EXPECT_TRUE(solved.l == l) << "mode " << static_cast<int>(mode);
+        EXPECT_TRUE(solved.r == r) << "mode " << static_cast<int>(mode);
+        EXPECT_EQ(solved.objective_history.back(), f);
+    }
+}
 
 }  // namespace
 }  // namespace mcs

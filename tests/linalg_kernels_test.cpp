@@ -126,6 +126,42 @@ TEST(Kernels, GramAndTemporalMatchValueOpsExactly) {
     EXPECT_TRUE(adj == temporal_diff_adjoint(x));
 }
 
+TEST(Kernels, SplitPassesMatchSeparatePassesExactly) {
+    Rng rng(13);
+    const Matrix x = random_matrix(5, 7, rng);
+    const Matrix s = random_matrix(5, 7, rng);
+    const Matrix c = random_matrix(5, 7, rng);
+    const Matrix p = random_matrix(5, 7, rng);
+    Matrix mask(5, 7);
+    for (auto& v : mask.data()) {
+        v = rng.uniform(0.0, 1.0) < 0.6 ? 1.0 : 0.0;
+    }
+
+    Matrix m = garbage(5, 7);
+    Matrix e = garbage(5, 7);
+    split_residuals_into(m, e, x, mask, s, c);
+    const Matrix m_ref = subtract(hadamard(x, mask), s);
+    const Matrix e_ref = subtract(temporal_diff(x), c);
+    EXPECT_TRUE(m == m_ref);
+    EXPECT_TRUE(e == e_ref);
+
+    const LineSearchSums sums = line_search_sums(p, mask, m_ref, e_ref);
+    const Matrix pm = hadamard(p, mask);
+    const Matrix dp = temporal_diff(p);
+    EXPECT_EQ(sums.masked_sq, frobenius_norm_squared(pm));
+    EXPECT_EQ(sums.residual_dot, frobenius_dot(m_ref, pm));
+    EXPECT_EQ(sums.diff_sq, frobenius_norm_squared(dp));
+    EXPECT_EQ(sums.diff_dot, frobenius_dot(e_ref, dp));
+
+    // Without a temporal residual only the masked terms are formed.
+    Matrix none;
+    split_residuals_into(m, none, x, mask, s, c);
+    EXPECT_TRUE(m == m_ref);
+    const LineSearchSums masked_only = line_search_sums(p, mask, m_ref, none);
+    EXPECT_EQ(masked_only.diff_sq, 0.0);
+    EXPECT_EQ(masked_only.residual_dot, sums.residual_dot);
+}
+
 TEST(Kernels, GemmFlopsAreCounted) {
     PipelineCounters counters;
     const Matrix a(5, 3, 1.0);
@@ -253,6 +289,65 @@ TEST(AsdWorkspace, ZeroAllocationsAfterWarmup) {
               warmup_ctx.counters().workspace_checkouts);
 }
 
+// The fast tier carries X = L·Rᵀ and P in the two n x t leases the exact
+// tier's residual build and line search use, so it reaches its steady
+// state after one iteration too, and never leases more than the exact
+// tier does.
+TEST(AsdWorkspace, FastTierZeroAllocationsAfterWarmup) {
+    const AsdSetup setup = make_asd_setup();
+    const CsObjective objective(setup.s, setup.mask, setup.velocity, 30.0,
+                                1e-6, 1.0, TemporalMode::kVelocity);
+    AsdOptions one_iteration;
+    one_iteration.max_iterations = 1;
+    AsdOptions many_iterations;
+    many_iterations.max_iterations = 120;  // crosses two product refreshes
+    many_iterations.relative_tolerance = 0.0;
+
+    const auto allocations = [&](KernelTier tier, const AsdOptions& options) {
+        const KernelTierScope scope(tier);
+        PipelineContext ctx;
+        asd_minimize(objective, setup.start.l, setup.start.r, options, &ctx);
+        return ctx.counters().workspace_allocations;
+    };
+    const std::uint64_t warmup = allocations(KernelTier::kFast, one_iteration);
+    EXPECT_EQ(allocations(KernelTier::kFast, many_iterations), warmup);
+    EXPECT_LE(warmup, allocations(KernelTier::kExact, one_iteration));
+}
+
+// Data-sized (n x t x rank) GEMMs per ASD iteration, pinned by the FLOP
+// counters: the exact tier runs the seed's 8 (X and P per half step, two
+// GEMMs per gradient); the fast tier runs 4 (P per half step, one GEMM per
+// gradient) plus a full L·Rᵀ every kProductRefreshPeriod iterations.
+TEST(AsdWorkspace, DataSizedGemmsPerIteration) {
+    const AsdSetup setup = make_asd_setup();
+    const CsObjective objective(setup.s, setup.mask, setup.velocity, 30.0,
+                                1e-6, 1.0, TemporalMode::kVelocity);
+    AsdOptions options;
+    options.max_iterations = 120;
+    options.relative_tolerance = 0.0;
+    const auto counters = [&](KernelTier tier) {
+        const KernelTierScope scope(tier);
+        PipelineContext ctx;
+        asd_minimize(objective, setup.start.l, setup.start.r, options, &ctx);
+        return ctx.counters();
+    };
+    const std::uint64_t n = 12, t = 10, k = 3, iters = 120;
+    const std::uint64_t data = 2 * n * t * k;
+    const std::uint64_t grams = iters * (2 * k * k * n + 2 * k * k * t);
+
+    const PipelineCounters exact = counters(KernelTier::kExact);
+    EXPECT_EQ(exact.flops_multiply_transposed, (4 * iters + 1) * data);
+    EXPECT_EQ(exact.flops_multiply, 2 * iters * data);
+    EXPECT_EQ(exact.flops_transpose_multiply, 2 * iters * data + grams);
+
+    const PipelineCounters fast = counters(KernelTier::kFast);
+    const std::uint64_t refreshes = iters / kProductRefreshPeriod;
+    EXPECT_EQ(fast.flops_multiply_transposed,
+              (2 * iters + 1 + refreshes) * data);
+    EXPECT_EQ(fast.flops_multiply, iters * data);
+    EXPECT_EQ(fast.flops_transpose_multiply, iters * data + grams);
+}
+
 TEST(AsdWorkspace, InstrumentationDoesNotChangeResults) {
     const AsdSetup setup = make_asd_setup();
     const CsObjective objective(setup.s, setup.mask, setup.velocity, 30.0,
@@ -348,6 +443,45 @@ TEST(KernelTiers, FastAgreesWithExactWithinTolerance) {
     EXPECT_LE(max_rel_dev(exact.had, fast.had), 1e-12);
     EXPECT_LE(max_rel_dev(exact.sub, fast.sub), 1e-12);
     EXPECT_LE(max_rel_dev(exact.ax, fast.ax), 1e-12);
+}
+
+// The folded passes against the split arithmetic they replace, at widths
+// around the SIMD body's edges (it needs a neighbour on both sides).
+TEST(KernelTiers, FoldedPassesAgreeWithSplitComposition) {
+    for (const std::size_t cols : {1u, 2u, 4u, 5u, 6u, 9u, 23u}) {
+        Rng rng(60 + cols);
+        const Matrix x = random_matrix(7, cols, rng);
+        const Matrix c = random_matrix(7, cols, rng);
+        const Matrix p = random_matrix(7, cols, rng);
+        Matrix mask(7, cols);
+        for (auto& v : mask.data()) {
+            v = rng.uniform(0.0, 1.0) < 0.6 ? 1.0 : 0.0;
+        }
+        // S is zero off the mask, as CsObjective stores it, so M = M∘mask.
+        const Matrix s = hadamard(random_matrix(7, cols, rng), mask);
+        const double lambda = 0.75;
+        const Matrix m = subtract(hadamard(x, mask), s);
+        const Matrix e = subtract(temporal_diff(x), c);
+        const Matrix w_ref = add(m, scale(temporal_diff_adjoint(e), lambda));
+
+        Matrix w = garbage(7, cols);
+        folded_residual_into(w, x, mask, s, c, lambda);
+        EXPECT_LE(max_rel_dev(w_ref, w), 1e-12) << "cols " << cols;
+
+        // ⟨W, P⟩ = ⟨M, P∘mask⟩ + λ⟨E, ΔP⟩ for a 0/1 mask and masked S.
+        const LineSearchSums split = line_search_sums(p, mask, m, e);
+        const LineSearchSums folded = folded_line_search_sums(p, mask, w_ref);
+        EXPECT_NEAR(folded.masked_sq, split.masked_sq,
+                    1e-12 * (1.0 + split.masked_sq));
+        EXPECT_NEAR(folded.diff_sq, split.diff_sq,
+                    1e-12 * (1.0 + split.diff_sq));
+        EXPECT_NEAR(folded.residual_dot,
+                    split.residual_dot + lambda * split.diff_dot,
+                    1e-12 * (1.0 + std::abs(split.residual_dot) +
+                             std::abs(split.diff_dot)))
+            << "cols " << cols;
+        EXPECT_EQ(folded.diff_dot, 0.0);
+    }
 }
 
 TEST(KernelTiers, FastTierIsDeterministicAcrossRuns) {

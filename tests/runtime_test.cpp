@@ -561,6 +561,30 @@ TEST(FleetRunner, MergedHistorySumsShards) {
     EXPECT_EQ(fleet.aggregate.converged, all_converged);
 }
 
+TEST(FleetRunner, MergedHistoryCarriesConvergedShardsForward) {
+    const ItscsInput input = fleet_input(48, 60);
+    RuntimeConfig config;
+    config.threads = 2;
+    config.shard_size = 8;
+    FleetRunner runner(config);
+    const FleetResult fleet = runner.run(input, ItscsConfig{});
+
+    // The fixture only means something if some shard stops early.
+    std::size_t min_iterations = fleet.aggregate.iterations;
+    for (const ShardRunReport& shard : fleet.shards) {
+        min_iterations = std::min(min_iterations, shard.iterations);
+    }
+    ASSERT_LT(min_iterations, fleet.aggregate.iterations);
+
+    std::size_t final_flagged = 0;
+    for (const double cell : fleet.aggregate.detection.data()) {
+        final_flagged += cell != 0.0 ? 1 : 0;
+    }
+    ASSERT_EQ(fleet.aggregate.history.size(), fleet.aggregate.iterations);
+    // Shards that stopped early still count in the last entry.
+    EXPECT_EQ(fleet.aggregate.history.back().flagged, final_flagged);
+}
+
 // ---- Parallel streaming ------------------------------------------------
 
 SlotUpload slot_of(const CorruptedDataset& data, std::size_t j) {

@@ -29,7 +29,8 @@
 //       Run the framework: write the reconstructed trace, the flagged
 //       cells, and a JSON run report. --stats-json additionally runs the
 //       framework instrumented (PipelineContext) and prints its counters
-//       and phase timings as JSON on stdout. --threads/--shard-size route
+//       and phase timings as JSON on stdout — the whole of stdout; the
+//       human summary lines then go to stderr. --threads/--shard-size route
 //       the run through the runtime subsystem's FleetRunner (participant
 //       shards detected/corrected concurrently; the per-shard contexts
 //       are merged so --stats-json stays a single document);
@@ -849,26 +850,29 @@ int cmd_clean(const Args& args) {
         fr["per_shard"] = per_shard;
         mcs::write_json_file(args.get("failure-report"), fr);
     }
+    // With --stats-json, stdout is the stats document alone; the human
+    // summary lines go to stderr.
+    std::ostream& human = want_stats ? std::cerr : std::cout;
     if (want_stats) {
         mcs::Json stats = ctx.to_json();
         stats["kernel"] = kernel_info(tier);
         std::cout << stats.dump(2) << "\n";
     }
     if (checkpoint.enabled) {
-        std::cout << "checkpoint: " << checkpoint.shards_loaded
+        human << "checkpoint: " << checkpoint.shards_loaded
                   << " shard(s) restored, " << checkpoint.shards_run
                   << " run, " << checkpoint.corrupt_frames
                   << " corrupt frame(s)"
                   << (checkpoint.torn_tail ? ", torn tail" : "") << "\n";
     }
     if (defense_spec.has_value()) {
-        std::cout << "defense: " << defense_result.quarantined.size()
+        human << "defense: " << defense_result.quarantined.size()
                   << " quarantined (" << defense_result.reinstated.size()
                   << " reinstated, " << defense_result.confirmed.size()
                   << " confirmed), " << defense_result.outages.size()
                   << " outage block(s)\n";
     }
-    std::cout << "cleaned trace written to " << args.get("out") << " ("
+    human << "cleaned trace written to " << args.get("out") << " ("
               << flagged << " readings flagged, " << result.iterations
               << " iterations)\n";
     if (args.has("strict")) {

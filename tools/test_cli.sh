@@ -50,8 +50,15 @@ echo "== stats-json =="
 "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
     --out "$WORKDIR/cleaned3.csv" --report "$WORKDIR/report3.json" \
     --stats-json > "$WORKDIR/clean_stats.out"
-grep -q '"workspace_allocations"' "$WORKDIR/clean_stats.out"
-grep -q '"asd_iterations"' "$WORKDIR/clean_stats.out"
+# stdout is exactly one JSON document: the human summary went to stderr.
+python3 - "$WORKDIR/clean_stats.out" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    stats = json.load(f)
+counters = stats["counters"]
+assert "workspace_allocations" in counters, counters
+assert counters["asd_iterations"] > 0, counters
+EOF
 grep -q '"workspace_allocations"' "$WORKDIR/report3.json"
 # Instrumented demo: --json merges the counters as a "stats" member.
 "$ITSCS" demo --alpha 0.1 --beta 0.1 --json --stats-json \
@@ -126,8 +133,8 @@ grep -q '"solver": "lrsd"' "$WORKDIR/report_lrsd.json"
 grep -q '"solver_backend": "lrsd"' "$WORKDIR/lrsd_stats.out"
 python3 - "$WORKDIR/lrsd_stats.out" <<'EOF'
 import json, sys
-# The stats JSON is followed by the one-line human summary.
-stats, _ = json.JSONDecoder().raw_decode(open(sys.argv[1]).read())
+with open(sys.argv[1]) as f:
+    stats = json.load(f)
 counters = stats["counters"]
 assert counters["solves_lrsd"] > 0 and counters["solves_asd"] == 0, counters
 assert counters["lrsd_rounds"] > 0, counters

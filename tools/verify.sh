@@ -14,7 +14,9 @@
 #                            run it in --quick mode against the committed
 #                            BENCH_kernels.json baseline, and fail when
 #                            any kernel's fast/exact speedup ratio drops
-#                            more than 20% below the baseline ratio; then
+#                            more than 20% below the baseline ratio, or
+#                            when the fast tier's CS solve does more than
+#                            0.6x the exact tier's GEMM FLOPs; then
 #                            run the cross-backend shootout (perf_pipeline
 #                            --backend-sweep --quick), which exits non-zero
 #                            on empty or non-finite results in any
