@@ -450,8 +450,8 @@ mcs::Json runtime_sweep_report(std::size_t repeat,
 //   2. at a cross-checkable scale, the streamed run is bit-identical to
 //      the in-core run, and the work-stealing scheduler is bit-identical
 //      across 1/2/7 worker threads (compared via output-slab CRCs);
-//   3. the float32 storage tier under the mixed kernel tier moves
-//      detection F1 by ≤ 1e-3 relative to f64/exact storage.
+//   3. at the same (fast) kernel tier, float32 slab storage moves
+//      detection F1 by ≤ 1e-3 relative to float64 slab storage.
 
 std::size_t peak_rss_bytes() {
     std::ifstream status("/proc/self/status");
@@ -670,7 +670,6 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
     bool threads_identical = true;
     std::vector<std::uint32_t> reference_crcs;
     mcs::Json identity_rows = mcs::Json::array();
-    double f1_f64 = 0.0;
     for (const std::size_t threads : {1u, 2u, 7u}) {
         std::cerr << "scale sweep: streamed identity at " << threads
                   << " threads...\n";
@@ -713,7 +712,6 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
         }
         if (threads == 1) {
             reference_crcs = crcs;
-            f1_f64 = scale_confusion(*store, base_seed).f1();
         }
         const bool same_as_one_thread = crcs == reference_crcs;
         streamed_equals_in_core = streamed_equals_in_core && equal;
@@ -728,36 +726,41 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
     }
     ok = ok && streamed_equals_in_core && threads_identical;
 
-    // -- claim 3: f32 storage + mixed kernels move F1 by ≤ 1e-3 ----------
-    std::cerr << "scale sweep: f32/mixed tier...\n";
-    double f1_f32 = 0.0;
-    mcs::Json mixed = mcs::Json::object();
-    {
+    // -- claim 3: f32 storage moves F1 by ≤ 1e-3 at the fast tier --------
+    // Both arms run the fast kernel tier, so the only difference is the
+    // one float rounding per element the f32 slabs apply on ingest.
+    std::cerr << "scale sweep: f32 vs f64 storage at the fast tier...\n";
+    mcs::Json f32_storage = mcs::Json::object();
+    double storage_f1[2] = {0.0, 0.0};
+    const mcs::StorageTier storage_tiers[2] = {mcs::StorageTier::kF64,
+                                               mcs::StorageTier::kF32};
+    for (std::size_t arm = 0; arm < 2; ++arm) {
         mcs::RuntimeConfig rcfg;
         rcfg.threads = 2;
         rcfg.shard_size = small_rows;
         rcfg.remainder = mcs::ShardRemainder::kTail;
-        rcfg.storage = mcs::StorageTier::kF32;
-        rcfg.kernel_tier = mcs::KernelTier::kMixed;
+        rcfg.storage = storage_tiers[arm];
+        rcfg.kernel_tier = mcs::KernelTier::kFast;
         mcs::FleetRunner runner(rcfg);
         auto store =
-            build_scale_store(root + "/f32", small_plan, slots, base_seed,
-                              mcs::StorageTier::kF32);
-        mcs::PipelineContext ctx;
+            build_scale_store(root + "/storage", small_plan, slots,
+                              base_seed, storage_tiers[arm]);
         const mcs::FleetResult fleet =
-            runner.run_streamed(*store, mcs::ItscsConfig{}, &ctx);
-        f1_f32 = scale_confusion(*store, base_seed).f1();
-        mixed["slab_file_bytes"] = store->geometry().file_size();
-        mixed["converged"] = fleet.aggregate.converged;
-        mixed["gate_checks"] = ctx.counters().mixed_gate_checks;
-        mixed["gate_trips"] = ctx.counters().mixed_gate_trips;
+            runner.run_streamed(*store, mcs::ItscsConfig{});
+        storage_f1[arm] = scale_confusion(*store, base_seed).f1();
+        if (storage_tiers[arm] == mcs::StorageTier::kF32) {
+            f32_storage["slab_file_bytes"] = store->geometry().file_size();
+            f32_storage["converged"] = fleet.aggregate.converged;
+        }
     }
-    const double f1_delta = std::abs(f1_f32 - f1_f64);
+    const double f1_delta = std::abs(storage_f1[1] - storage_f1[0]);
     ok = ok && f1_delta <= 1e-3;
-    mixed["f1_f64"] = f1_f64;
-    mixed["f1_f32"] = f1_f32;
-    mixed["f1_delta"] = f1_delta;
-    mixed["f1_delta_within_1e3"] = f1_delta <= 1e-3;
+    f32_storage["kernel_tier"] =
+        std::string(mcs::to_string(mcs::KernelTier::kFast));
+    f32_storage["f1_f64"] = storage_f1[0];
+    f32_storage["f1_f32"] = storage_f1[1];
+    f32_storage["f1_delta"] = f1_delta;
+    f32_storage["f1_delta_within_1e3"] = f1_delta <= 1e-3;
 
     mcs::Json identity = mcs::Json::object();
     identity["fleet"] = mcs::Json::object();
@@ -769,7 +772,7 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
     identity["bitwise_identical_across_1_2_7_threads"] = threads_identical;
     identity["runs"] = identity_rows;
     report["identity"] = identity;
-    report["mixed_precision"] = mixed;
+    report["f32_storage"] = f32_storage;
     mcs::stamp_environment(report, repeat,
                            /*threads_used=*/mcs::effective_cpu_count(),
                            quick);

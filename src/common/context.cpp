@@ -9,8 +9,6 @@ const char* to_string(KernelTier tier) {
     switch (tier) {
         case KernelTier::kFast:
             return "fast";
-        case KernelTier::kMixed:
-            return "mixed";
         case KernelTier::kExact:
             break;
     }
@@ -24,11 +22,8 @@ KernelTier parse_kernel_tier(const std::string& name) {
     if (name == "fast") {
         return KernelTier::kFast;
     }
-    if (name == "mixed") {
-        return KernelTier::kMixed;
-    }
     throw Error("unknown kernel tier '" + name +
-                "' (expected exact | fast | mixed)");
+                "' (expected exact | fast)");
 }
 
 const char* to_string(SolverKind kind) {
@@ -135,8 +130,6 @@ void PipelineContext::absorb(const PipelineCounters& counters,
     counters_.participants_quarantined += counters.participants_quarantined;
     counters_.defense_trips += counters.defense_trips;
     counters_.quarantine_reinstated += counters.quarantine_reinstated;
-    counters_.mixed_gate_checks += counters.mixed_gate_checks;
-    counters_.mixed_gate_trips += counters.mixed_gate_trips;
     counters_.shards_stolen += counters.shards_stolen;
     counters_.slab_shards_streamed += counters.slab_shards_streamed;
     for (const PhaseStat& stat : phases) {
@@ -191,8 +184,6 @@ Json PipelineContext::to_json() const {
         counters_.participants_quarantined;
     counters["defense_trips"] = counters_.defense_trips;
     counters["quarantine_reinstated"] = counters_.quarantine_reinstated;
-    counters["mixed_gate_checks"] = counters_.mixed_gate_checks;
-    counters["mixed_gate_trips"] = counters_.mixed_gate_trips;
     counters["shards_stolen"] = counters_.shards_stolen;
     counters["slab_shards_streamed"] = counters_.slab_shards_streamed;
 

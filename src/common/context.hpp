@@ -54,18 +54,9 @@ class Json;
 ///     reduction order: deterministic run-to-run and across --threads on a
 ///     given machine/path, but not bit-identical to kExact (FMA contraction
 ///     and vector-lane reduction round differently; ≤1e-12 relative).
-///   * kMixed — mixed-precision (DESIGN.md §18): the GEMM-shaped data
-///     products run in float32 (operands demoted once per call, fixed
-///     reduction order, double the SIMD lanes of kFast) while the Gram
-///     formation, ridge, and Cholesky stay in float64 — the float32
-///     counterpart of mixed-precision ASD. Deterministic at any thread
-///     count like the other tiers, but only ~1e-5 relative per kernel, so
-///     FleetRunner arms a sampled exact-tier verification gate
-///     (mixed_verify_every / mixed_verify_tolerance) that re-solves
-///     selected shards under kExact and falls back when the results drift.
-enum class KernelTier : std::uint8_t { kExact = 0, kFast = 1, kMixed = 2 };
+enum class KernelTier : std::uint8_t { kExact = 0, kFast = 1 };
 
-/// "exact" / "fast" / "mixed".
+/// "exact" / "fast".
 const char* to_string(KernelTier tier);
 /// Inverse of to_string; throws mcs::Error on anything else.
 KernelTier parse_kernel_tier(const std::string& name);
@@ -120,8 +111,6 @@ struct PipelineCounters {
     std::uint64_t participants_quarantined = 0;   ///< rows entering quarantine
     std::uint64_t defense_trips = 0;          ///< defence tests that fired
     std::uint64_t quarantine_reinstated = 0;  ///< rows cleared by the re-test
-    std::uint64_t mixed_gate_checks = 0;      ///< sampled exact re-solves
-    std::uint64_t mixed_gate_trips = 0;       ///< mixed result rejected
     std::uint64_t shards_stolen = 0;          ///< shards run off-owner deque
     std::uint64_t slab_shards_streamed = 0;   ///< shards staged from slabs
 };

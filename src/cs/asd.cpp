@@ -104,7 +104,7 @@ AsdResult asd_minimize(const CsObjective& objective, Matrix l0, Matrix r0,
     // X, so X ← X − α·P with the P the line search already formed, plus a
     // full recompute every kProductRefreshPeriod iterations to bound the
     // rounding drift.
-    const bool carry_product = active_kernel_tier() != KernelTier::kExact;
+    const bool carry_product = active_kernel_tier() == KernelTier::kFast;
     const auto follow_step = [&](double alpha, bool refresh) {
         if (carry_product && !refresh) {
             axpy(*x, -alpha, *p);

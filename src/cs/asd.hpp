@@ -32,7 +32,7 @@ struct AsdOptions {
     double gram_ridge = 1e-8;
 };
 
-/// Fast and mixed tiers: ASD iterations between full recomputes of the
+/// Fast tier: ASD iterations between full recomputes of the
 /// carried product X = L·Rᵀ (DESIGN.md §13). Between recomputes X follows
 /// each step as X − α·P, which drifts from a fresh L·Rᵀ by rounding only:
 /// the contract is ≤ 1e-10 relative (Frobenius) at the end of a solve,
@@ -45,7 +45,7 @@ struct AsdResult {
     Matrix r;
     /// X = L·Rᵀ as the solver carried it to the end: recomputed after every
     /// step on the exact tier, carried (within the drift contract above)
-    /// on the fast and mixed tiers.
+    /// on the fast tier.
     Matrix product;
     std::vector<double> objective_history;  ///< f after each iteration
     std::size_t iterations = 0;
@@ -58,9 +58,9 @@ struct AsdResult {
 /// Every half step builds its residuals from X = L·Rᵀ, which the loop keeps
 /// across half steps. The exact tier recomputes X after each step and
 /// keeps the seed's split residuals and two-GEMM gradients, so its
-/// arithmetic is bit-identical to the seed solver. The fast and mixed tiers
-/// update X with the line search's own product and fold the residuals into
-/// one matrix, which takes an iteration from 8 data-sized GEMMs to 4.
+/// arithmetic is bit-identical to the seed solver. The fast tier updates
+/// X with the line search's own product and folds the residuals into one
+/// matrix, which takes an iteration from 8 data-sized GEMMs to 4.
 ///
 /// All per-iteration temporaries come from an internal Workspace: the first
 /// iteration allocates every scratch buffer once and later iterations only

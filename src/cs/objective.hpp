@@ -111,7 +111,7 @@ public:
 
     /// The ASD loop's residuals from its carried product X = L·Rᵀ, in one
     /// fused pass: split on the exact tier (bit-identical to
-    /// residuals_into), folded on the fast and mixed tiers.
+    /// residuals_into), folded on the fast tier.
     void residuals_from_product(Residuals& res, const Matrix& x) const;
 
     /// f(L, R) given X = L·Rᵀ (split residuals in `ws` scratch).

@@ -1,6 +1,7 @@
 // Kernel-tier selection and CPU feature dispatch (DESIGN.md §13).
 //
-// Every `_into` kernel in linalg/kernels.hpp has two implementations:
+// Every `_into` kernel in linalg/kernels.hpp has two implementations, one
+// per tier:
 //
 //   * KernelTier::kExact — the seed scalar loops, bit-for-bit identical to
 //     the value-returning ops. The default, and what every bit-identity
@@ -15,13 +16,6 @@
 //     across --threads / RowExecutor block splits — but they are NOT
 //     bit-identical to the exact tier: FMA contraction and vector-lane
 //     partial sums round differently (≤1e-12 relative in practice).
-//   * KernelTier::kMixed — mixed-precision (DESIGN.md §18): the three
-//     data-sized products run in float32 (kernels_mixed.hpp; operands
-//     demoted once per call, twice the SIMD lanes), while the Gram
-//     formation, ridge, and Cholesky — and all element-wise ops — stay on
-//     the float64 fast path. Same determinism contract as kFast, but only
-//     ~1e-6 relative per kernel; FleetRunner arms a sampled exact-tier
-//     verification gate on top of any mixed-tier fleet run.
 //
 // The active tier is ambient, per-thread state: pipeline entry points
 // (FleetRunner shard workers, the CLI, benchmarks) install a
@@ -54,10 +48,6 @@ const CpuFeatures& cpu_features();
 /// "avx2+fma", "neon", or "scalar-blocked". Fixed for the process
 /// lifetime; the exact tier is always plain "scalar".
 const char* fast_kernel_path();
-
-/// Name of the mixed-tier float32 code path: "avx2+fma-f32" or
-/// "scalar-blocked-f32". Fixed for the process lifetime.
-const char* mixed_kernel_path();
 
 /// Ambient kernel tier of the calling thread (default kExact).
 KernelTier active_kernel_tier();

@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "linalg/kernel_tier.hpp"
 #include "linalg/kernels_fast.hpp"
-#include "linalg/kernels_mixed.hpp"
 
 namespace mcs {
 
@@ -62,15 +61,7 @@ void for_rows_maybe_parallel(
 // bodies below capture the already-made choice, so RowExecutor pool
 // threads (whose own thread-local tier is untouched) still run the tier
 // the caller selected.
-//
-// The mixed tier routes per kernel shape (DESIGN.md §18): the three
-// data-sized products (multiply, multiply_transposed, masked_residual)
-// take the float32 path, while transpose_multiply — the Gram formation
-// feeding ridge + Cholesky — and every element-wise op stay on the
-// float64 fast path. That is the "float32 data/factors, float64
-// Gram/Cholesky accumulation" split of mixed-precision ASD.
-bool use_fast_tier() { return active_kernel_tier() != KernelTier::kExact; }
-bool use_mixed_tier() { return active_kernel_tier() == KernelTier::kMixed; }
+bool use_fast_tier() { return active_kernel_tier() == KernelTier::kFast; }
 
 }  // namespace
 
@@ -157,28 +148,6 @@ void multiply_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.rows(), b.cols(), "multiply_into");
     check_not_aliased(dst, a, "multiply_into");
     check_not_aliased(dst, b, "multiply_into");
-    if (use_mixed_tier()) {
-        auto* mk = &mixedk::mixed_kernels();
-        auto& st = mixedk::mixed_staging();
-        const std::size_t m = a.rows();
-        const std::size_t kdim = a.cols();
-        const std::size_t n = b.cols();
-        st.a.resize(m * kdim);
-        st.b.resize(kdim * n);
-        st.out.resize(m * n);
-        mixedk::demote(a.data().data(), st.a.data(), st.a.size());
-        mixedk::demote(b.data().data(), st.b.data(), st.b.size());
-        float* out = st.out.data();
-        const float* pa = st.a.data();
-        const float* pb = st.b.data();
-        for_rows_maybe_parallel(m, [=](std::size_t lo, std::size_t hi) {
-            mk->multiply_rows(out, pa, pb, lo, hi, kdim, n);
-        });
-        mixedk::promote(st.out.data(), dst.data().data(), st.out.size());
-        add_gemm_flops(counters, &PipelineCounters::flops_multiply, a.rows(),
-                       b.cols(), a.cols());
-        return;
-    }
     if (use_fast_tier()) {
         auto* fk = &fastk::fast_kernels();
         const std::size_t kdim = a.cols();
@@ -226,29 +195,6 @@ void multiply_transposed_into(Matrix& dst, const Matrix& a, const Matrix& b,
     check_shape(dst, a.rows(), b.rows(), "multiply_transposed_into");
     check_not_aliased(dst, a, "multiply_transposed_into");
     check_not_aliased(dst, b, "multiply_transposed_into");
-    if (use_mixed_tier()) {
-        auto* mk = &mixedk::mixed_kernels();
-        auto& st = mixedk::mixed_staging();
-        const std::size_t m = a.rows();
-        const std::size_t kdim = a.cols();
-        const std::size_t n = b.rows();
-        st.a.resize(m * kdim);
-        st.b.resize(n * kdim);
-        st.out.resize(m * n);
-        mixedk::demote(a.data().data(), st.a.data(), st.a.size());
-        mixedk::demote(b.data().data(), st.b.data(), st.b.size());
-        float* out = st.out.data();
-        const float* pa = st.a.data();
-        const float* pb = st.b.data();
-        for_rows_maybe_parallel(m, [=](std::size_t lo, std::size_t hi) {
-            mk->multiply_transposed_rows(out, pa, pb, lo, hi, n, kdim);
-        });
-        mixedk::promote(st.out.data(), dst.data().data(), st.out.size());
-        add_gemm_flops(counters,
-                       &PipelineCounters::flops_multiply_transposed, a.rows(),
-                       b.rows(), a.cols());
-        return;
-    }
     if (use_fast_tier()) {
         auto* fk = &fastk::fast_kernels();
         const std::size_t kdim = a.cols();
@@ -342,34 +288,6 @@ void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
     check_not_aliased(dst, r, "masked_residual_into");
     check_not_aliased(dst, mask, "masked_residual_into");
     check_not_aliased(dst, s, "masked_residual_into");
-    if (use_mixed_tier()) {
-        auto* mk = &mixedk::mixed_kernels();
-        auto& st = mixedk::mixed_staging();
-        const std::size_t m = mask.rows();
-        const std::size_t n = mask.cols();
-        const std::size_t rank = l.cols();
-        st.a.resize(m * rank);
-        st.b.resize(r.rows() * rank);
-        st.c.resize(m * n);
-        st.d.resize(m * n);
-        st.out.resize(m * n);
-        mixedk::demote(l.data().data(), st.a.data(), st.a.size());
-        mixedk::demote(r.data().data(), st.b.data(), st.b.size());
-        mixedk::demote(mask.data().data(), st.c.data(), st.c.size());
-        mixedk::demote(s.data().data(), st.d.data(), st.d.size());
-        float* out = st.out.data();
-        const float* pl = st.a.data();
-        const float* pr = st.b.data();
-        const float* pm = st.c.data();
-        const float* ps = st.d.data();
-        for_rows_maybe_parallel(m, [=](std::size_t lo, std::size_t hi) {
-            mk->masked_residual_rows(out, pl, pr, pm, ps, lo, hi, n, rank);
-        });
-        mixedk::promote(st.out.data(), dst.data().data(), st.out.size());
-        add_gemm_flops(counters, &PipelineCounters::flops_masked_residual,
-                       mask.rows(), mask.cols(), l.cols());
-        return;
-    }
     if (use_fast_tier()) {
         auto* fk = &fastk::fast_kernels();
         const std::size_t n = mask.cols();

@@ -69,8 +69,6 @@ void put_counters(ByteWriter& w, const PipelineCounters& c) {
     w.put_u64(c.checkpoint_commits);
     w.put_u64(c.checkpoint_shards_resumed);
     w.put_u64(c.checkpoint_corrupt_frames);
-    w.put_u64(c.mixed_gate_checks);
-    w.put_u64(c.mixed_gate_trips);
     w.put_u64(c.shards_stolen);
     w.put_u64(c.slab_shards_streamed);
 }
@@ -100,8 +98,6 @@ PipelineCounters get_counters(ByteReader& r) {
     c.checkpoint_commits = r.get_u64();
     c.checkpoint_shards_resumed = r.get_u64();
     c.checkpoint_corrupt_frames = r.get_u64();
-    c.mixed_gate_checks = r.get_u64();
-    c.mixed_gate_trips = r.get_u64();
     c.shards_stolen = r.get_u64();
     c.slab_shards_streamed = r.get_u64();
     return c;

@@ -57,7 +57,9 @@ class Json;
 /// live in the slab store, the journal holds their CRC); planner,
 /// plan_fingerprint and slab storage/geometry in the manifest, so a
 /// resume refuses a changed planner, storage tier or slab layout.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// v5: the mixed kernel tier and its two verification-gate counters are
+/// gone from PipelineCounters; a v4 record is refused, not resumed.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// One journal record: everything FleetRunner needs to stitch a completed
 /// shard into the fleet result without re-running it.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -52,12 +51,6 @@ std::uint64_t runtime_fingerprint(const RuntimeConfig& config) {
     // manifest field (clearer refusal message than a fingerprint mismatch);
     // kernel_row_block_threshold is scheduling-only and excluded.
     h.mix_u64(static_cast<std::uint64_t>(config.kernel_tier));
-    if (config.kernel_tier == KernelTier::kMixed) {
-        // The gate can swap a shard's result for the exact tier's, so its
-        // sampling cadence and tolerance are part of the numerics.
-        h.mix_u64(config.mixed_verify_every);
-        h.mix_f64(config.mixed_verify_tolerance);
-    }
     h.mix_u64(config.health.divergence_patience);
     h.mix_f64(config.health.divergence_slack);
     if (config.chaos != nullptr && !config.chaos->config().idle()) {
@@ -385,68 +378,6 @@ void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
     report.iterations = result.iterations;
     report.converged =
         level == DegradationLevel::kNominal && result.converged;
-}
-
-// Relative Frobenius deviation of `got` from the `want` reference.
-double relative_deviation(const Matrix& got, const Matrix& want) {
-    double num = 0.0;
-    double den = 0.0;
-    const auto g = got.data();
-    const auto w = want.data();
-    for (std::size_t k = 0; k < w.size(); ++k) {
-        const double d = g[k] - w[k];
-        num += d * d;
-        den += w[k] * w[k];
-    }
-    if (den == 0.0) {
-        return num == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-    }
-    return std::sqrt(num / den);
-}
-
-// The mixed tier's verification gate (RuntimeConfig::mixed_verify_every):
-// re-solve the sampled shard at the exact tier from a FRESH context
-// seeded with the shard's own seed — the shard context's RNG has already
-// advanced through the mixed solve, and the gate's promise is that an
-// adopted exact result is bit-identical to what a pure exact run would
-// have produced. The exact context's instrumentation is absorbed into the
-// shard context either way (the work was done).
-void verify_mixed_shard(const RuntimeConfig& rcfg, const ItscsConfig& config,
-                        std::size_t s, std::uint64_t seed,
-                        const ItscsInput& si,
-                        const ItscsWarmStart* warm_seed,
-                        PipelineContext& sctx, ShardRunReport& report,
-                        ItscsResult& result) {
-    if (rcfg.kernel_tier != KernelTier::kMixed ||
-        rcfg.mixed_verify_every == 0 || s % rcfg.mixed_verify_every != 0 ||
-        report.level != DegradationLevel::kNominal) {
-        return;
-    }
-    sctx.counters().mixed_gate_checks += 1;
-    PipelineContext vctx(seed);
-    vctx.set_kernel_tier(KernelTier::kExact);
-    vctx.set_solver_backend(config.cs.solver);
-    ItscsResult exact;
-    try {
-        KernelTierScope exact_scope(KernelTier::kExact);
-        exact = run_itscs(si, config, {}, &vctx, warm_seed);
-    } catch (const std::exception&) {
-        // The exact reference itself failed — nothing to compare against;
-        // the mixed result stands (the ladder already vetted it).
-        return;
-    }
-    sctx.absorb(vctx.counters(), vctx.phase_stats());
-    const double deviation =
-        std::max(relative_deviation(result.reconstructed_x,
-                                    exact.reconstructed_x),
-                 relative_deviation(result.reconstructed_y,
-                                    exact.reconstructed_y));
-    if (deviation > rcfg.mixed_verify_tolerance) {
-        sctx.counters().mixed_gate_trips += 1;
-        report.iterations = exact.iterations;
-        report.converged = exact.converged;
-        result = std::move(exact);
-    }
 }
 
 // Fleet-wide diagnostics after the barrier: iterations is the slowest
@@ -889,8 +820,6 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
         ItscsResult result;
         run_shard_ladder(config_, config, s, si, contexts[s], warm_seed,
                          report, result);
-        verify_mixed_shard(config_, config, s, seeds[s], si, warm_seed,
-                           contexts[s], report, result);
 
         if (shard_warm != nullptr) {
             if (report.level == DegradationLevel::kNominal) {
@@ -1266,8 +1195,6 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
         ItscsResult result;
         run_shard_ladder(config_, config, s, si, contexts[s], nullptr,
                          report, result);
-        verify_mixed_shard(config_, config, s, seeds[s], si, nullptr,
-                           contexts[s], report, result);
         contexts[s].counters().slab_shards_streamed += 1;
 
         {

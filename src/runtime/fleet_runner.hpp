@@ -107,24 +107,10 @@ struct RuntimeConfig {
     /// overrides bind to whichever backend is active).
     SolverKind solver = SolverKind::kAsd;
 
-    /// Mixed-tier verification gate (kernel_tier == kMixed only): every
-    /// `mixed_verify_every`-th shard by shard index (0 = gate off) whose
-    /// nominal solve succeeded is re-solved at the exact tier, from a
-    /// fresh context seeded with the shard's own seed, and the two
-    /// reconstructions compared. A relative (Frobenius) deviation beyond
-    /// mixed_verify_tolerance trips the gate: the shard adopts the exact
-    /// result — bit-identical to what a pure exact run computes — and the
-    /// trip is counted (PipelineCounters::mixed_gate_trips). The sample
-    /// set depends on shard index alone, so gated runs stay deterministic
-    /// at any thread count. This is the kMixed analogue of the fast
-    /// tier's ≤1e-12 kernel contract: f32 staging cannot promise 1e-12,
-    /// so the contract moves from per-kernel to per-shard-result.
-    std::size_t mixed_verify_every = 8;
-    double mixed_verify_tolerance = 1e-3;
-
     /// Element representation of the out-of-core slab store
-    /// (create_slab_store; CLI: --storage). kF32 halves slab bytes; pair
-    /// it with kernel_tier == kMixed for the full mixed-precision path.
+    /// (create_slab_store; CLI: --storage). kF32 halves slab bytes: each
+    /// element is rounded to float once on write and widened back to
+    /// double on read, so every kernel still runs in float64.
     /// Part of the numerics (one rounding per ingested element), named in
     /// the checkpoint manifest and refused on resume mismatch.
     StorageTier storage = StorageTier::kF64;

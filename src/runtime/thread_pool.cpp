@@ -24,6 +24,10 @@ ThreadPool::ThreadPool(Options options) : options_(options) {
         // process's affinity mask oversubscribes by construction.
         threads = effective_cpu_count();
     }
+    MCS_CHECK_MSG(threads <= kMaxThreads,
+                  "ThreadPool: " + std::to_string(threads) +
+                      " workers requested, at most " +
+                      std::to_string(kMaxThreads) + " allowed");
     MCS_CHECK_MSG(options.queue_capacity >= 1,
                   "ThreadPool: queue capacity must be at least 1");
     workers_.reserve(threads);

@@ -43,6 +43,12 @@ public:
         std::exception_ptr error;  ///< never nullptr
     };
 
+    /// Ceiling on the worker count of any pool. Counts arrive from outside
+    /// the program (--threads, --kernel-threads, serve --threads); a pool
+    /// asked for more refuses with mcs::Error before any worker starts
+    /// rather than exhausting the process's thread ids.
+    static constexpr std::size_t kMaxThreads = 1024;
+
     struct Options {
         std::size_t threads = 0;  ///< worker count; 0 = effective CPUs
                                   ///< (sched_getaffinity, common/topology.hpp)

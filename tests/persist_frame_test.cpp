@@ -6,6 +6,7 @@
 // pinned to the exact damage that triggers it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -390,12 +391,44 @@ TEST(ShardCheckpointTest, TrailingBytesAreRejected) {
                  Error);
 }
 
+// A record as format v4 wrote it: stamped 4, with the two retired
+// mixed-tier gate counters (checks, trips) after checkpoint_corrupt_frames.
+std::vector<std::uint8_t> v4_record() {
+    ShardCheckpoint rec = sample_record();
+    const std::uint64_t marker = 0x0123456789ABCDEFull;
+    rec.counters.checkpoint_corrupt_frames = marker;
+    std::vector<std::uint8_t> payload = encode_shard_checkpoint(rec);
+    ByteWriter field;
+    field.put_u64(marker);
+    const auto at = std::search(payload.begin(), payload.end(),
+                                field.bytes().begin(), field.bytes().end());
+    EXPECT_NE(at, payload.end());
+    payload.insert(at + 8, 16, std::uint8_t{7});
+    ByteWriter version;
+    version.put_u32(4);
+    std::copy(version.bytes().begin(), version.bytes().end(),
+              payload.begin());
+    return payload;
+}
+
 TEST(ShardCheckpointTest, WrongVersionIsRejected) {
-    std::vector<std::uint8_t> payload =
+    std::vector<std::uint8_t> flipped =
         encode_shard_checkpoint(sample_record());
-    payload[0] ^= 0xFF;  // version is the first encoded field
-    EXPECT_THROW(decode_shard_checkpoint({payload.data(), payload.size()}),
+    flipped[0] ^= 0xFF;  // version is the first encoded field
+    EXPECT_THROW(decode_shard_checkpoint({flipped.data(), flipped.size()}),
                  Error);
+
+    // A journal left by the previous format is refused, not resumed.
+    const std::vector<std::uint8_t> old = v4_record();
+    try {
+        decode_shard_checkpoint({old.data(), old.size()});
+        ADD_FAILURE() << "a v4 record decoded under v"
+                      << kCheckpointVersion;
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("version 4"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 }  // namespace

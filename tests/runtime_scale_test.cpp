@@ -2,7 +2,7 @@
 // streamed-vs-in-core bit-identity under the work-stealing scheduler,
 // crash recovery through a torn slab file, the geographic by_cell
 // planner's determinism and balance contract, and the float32 storage
-// tier's verification gate.
+// tier on the fast kernel tier.
 //
 // The central contract: routing a fleet through the mmap slab store — at
 // any thread count, stolen or not — produces bytes identical to the
@@ -396,65 +396,72 @@ TEST(ShardPlanCellTest, CellPlannedFleetMatchesRowPlannedNumerics) {
                               again.aggregate.reconstructed_x));
 }
 
-// ---- float32 tier verification gate --------------------------------------
+// ---- float32 storage at the fast tier -------------------------------------
 
-TEST(MixedTierTest, ZeroToleranceGateTripsAndAdoptsExactResults) {
-    const ItscsInput input = fleet_input();
-    const FleetResult exact =
-        FleetRunner(runtime_config(1)).run(input, ItscsConfig{});
-
-    RuntimeConfig config = runtime_config(1);
-    config.kernel_tier = KernelTier::kMixed;
-    config.mixed_verify_every = 1;  // gate every shard
-    config.mixed_verify_tolerance = 0.0;  // any f32 drift trips
-    PipelineContext ctx;
-    const FleetResult gated =
-        FleetRunner(config).run(input, ItscsConfig{}, &ctx);
-
-    EXPECT_EQ(ctx.counters().mixed_gate_checks, 7u);
-    EXPECT_GE(ctx.counters().mixed_gate_trips, 1u);
-    // Every tripped shard adopted the exact re-solve, so the fleet output
-    // is bit-identical to the pure exact run.
-    EXPECT_TRUE(bitwise_equal(gated.aggregate.detection,
-                              exact.aggregate.detection));
-    EXPECT_TRUE(bitwise_equal(gated.aggregate.reconstructed_x,
-                              exact.aggregate.reconstructed_x));
-    EXPECT_TRUE(bitwise_equal(gated.aggregate.reconstructed_y,
-                              exact.aggregate.reconstructed_y));
-}
-
-TEST(MixedTierTest, OpenGateLetsMixedResultsThroughWithinTolerance) {
-    const ItscsInput input = fleet_input();
-    const FleetResult exact =
-        FleetRunner(runtime_config(1)).run(input, ItscsConfig{});
-
-    RuntimeConfig config = runtime_config(1);
-    config.kernel_tier = KernelTier::kMixed;
-    config.mixed_verify_every = 1;
-    config.mixed_verify_tolerance = 1e9;  // never trips
-    PipelineContext ctx;
-    const FleetResult mixed =
-        FleetRunner(config).run(input, ItscsConfig{}, &ctx);
-
-    EXPECT_EQ(ctx.counters().mixed_gate_checks, 7u);
-    EXPECT_EQ(ctx.counters().mixed_gate_trips, 0u);
-    // The mixed tier genuinely computes in f32: its reconstructions
-    // differ from exact in the low bits (were they identical, the
-    // trip test above would be vacuous)...
-    EXPECT_FALSE(bitwise_equal(mixed.aggregate.reconstructed_x,
-                               exact.aggregate.reconstructed_x));
-    // ...but stays within the documented quality envelope.
-    double max_rel = 0.0;
+// Relative Frobenius deviation of `got` from the `want` reference.
+double relative_frobenius(const Matrix& got, const Matrix& want) {
     double num = 0.0;
     double den = 0.0;
-    const auto dm = mixed.aggregate.reconstructed_x.data();
-    const auto de = exact.aggregate.reconstructed_x.data();
-    for (std::size_t k = 0; k < dm.size(); ++k) {
-        num += (dm[k] - de[k]) * (dm[k] - de[k]);
-        den += de[k] * de[k];
+    const auto g = got.data();
+    const auto w = want.data();
+    for (std::size_t k = 0; k < w.size(); ++k) {
+        num += (g[k] - w[k]) * (g[k] - w[k]);
+        den += w[k] * w[k];
     }
-    max_rel = den > 0.0 ? std::sqrt(num / den) : 0.0;
-    EXPECT_LE(max_rel, 1e-3);
+    return den > 0.0 ? std::sqrt(num / den) : std::sqrt(num);
+}
+
+// A streamed run's reconstruction, reassembled into fleet-shaped matrices.
+struct StreamedFleet {
+    Matrix rx;
+    Matrix ry;
+    std::vector<std::uint32_t> crcs;
+};
+
+StreamedFleet streamed_fleet(StorageTier storage, std::size_t threads) {
+    const ItscsInput input = fleet_input();
+    TempDir dir(storage == StorageTier::kF64 ? "fast64" : "fast32");
+    RuntimeConfig config = runtime_config(threads);
+    config.kernel_tier = KernelTier::kFast;
+    config.storage = storage;
+    FleetRunner runner(config);
+    auto store = runner.create_slab_store(dir.path(), input);
+    runner.run_streamed(*store, ItscsConfig{});
+
+    StreamedFleet out{Matrix(kParticipants, kSlots),
+                      Matrix(kParticipants, kSlots), {}};
+    for (std::size_t s = 0; s < store->shards().size(); ++s) {
+        out.crcs.push_back(store->output_crc(s));
+        const ShardOutputs shard = read_shard_outputs(*store, s);
+        const std::size_t begin = store->shards()[s].begin;
+        for (std::size_t k = 0; k < store->shards()[s].size(); ++k) {
+            for (std::size_t j = 0; j < kSlots; ++j) {
+                out.rx(begin + k, j) = shard.rx(k, j);
+                out.ry(begin + k, j) = shard.ry(k, j);
+            }
+        }
+    }
+    return out;
+}
+
+// The out-of-core benchmark path: f32 slabs, fast kernels, run_streamed.
+// Its output is bit-identical at any thread count, and the one float
+// rounding per stored element keeps the reconstruction within 1e-3
+// (relative Frobenius) of the same run on f64 slabs.
+TEST(RuntimeScaleTest, F32SlabsAtFastTierAreThreadStableAndNearF64) {
+    const StreamedFleet f64 = streamed_fleet(StorageTier::kF64, 1);
+    const StreamedFleet one = streamed_fleet(StorageTier::kF32, 1);
+    for (const std::size_t threads : {2u, 7u}) {
+        const StreamedFleet many = streamed_fleet(StorageTier::kF32, threads);
+        EXPECT_EQ(many.crcs, one.crcs) << "threads=" << threads;
+        EXPECT_TRUE(bitwise_equal(many.rx, one.rx)) << "threads=" << threads;
+        EXPECT_TRUE(bitwise_equal(many.ry, one.ry)) << "threads=" << threads;
+    }
+    // f32 storage really rounds: a bit-identical result would mean the
+    // comparison below checks nothing.
+    EXPECT_FALSE(bitwise_equal(one.rx, f64.rx));
+    EXPECT_LE(relative_frobenius(one.rx, f64.rx), 1e-3);
+    EXPECT_LE(relative_frobenius(one.ry, f64.ry), 1e-3);
 }
 
 }  // namespace

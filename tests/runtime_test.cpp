@@ -250,6 +250,20 @@ TEST(ThreadPool, WorkerIndexIsStableAndBounded) {
     EXPECT_GT(total, 0);
 }
 
+// Worker counts come from outside the program (--threads and friends), so
+// one above the ceiling must be refused before a single worker starts.
+TEST(ThreadPool, WorkerCountAboveCeilingIsRefused) {
+    const std::size_t over = ThreadPool::kMaxThreads + 1;
+    EXPECT_THROW(ThreadPool{over}, Error);
+    EXPECT_THROW(ThreadPool(ThreadPool::Options{over, 1}), Error);
+    RuntimeConfig config;
+    config.threads = over;
+    config.shard_count = 1;
+    EXPECT_THROW(FleetRunner{config}, Error);
+    EXPECT_THROW(KernelParallelScope{over}, Error);
+    EXPECT_EQ(kernel_row_executor(), nullptr);
+}
+
 // ---- PipelineContext::merge -------------------------------------------
 
 TEST(ContextMerge, SumsCountersAndFoldsPhases) {

@@ -126,6 +126,7 @@
 #include "corruption/scenario.hpp"
 #include "eval/methods.hpp"
 #include "runtime/fleet_runner.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/daemon.hpp"
 #include "linalg/kernel_tier.hpp"
 #include "linalg/kernels.hpp"
@@ -263,7 +264,7 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"shard-count", "C", "shard count (when no --shard-size)"},
         {"planner", "P", "shard planner: rows | cell (default rows)"},
         {"kernel-threads", "M", "row-blocked kernel parallelism"},
-        {"tier", "T", "kernel tier: exact | fast | mixed (default exact)"},
+        {"tier", "T", "kernel tier: exact | fast (default exact)"},
         {"slab-dir", "DIR", "out-of-core slab store; stream shards via mmap"},
         {"storage", "S", "slab storage tier: f64 | f32 (with --slab-dir)"},
         {"memory-budget", "MB", "resident-window ceiling for --slab-dir"},
@@ -414,6 +415,16 @@ public:
         }
         return static_cast<std::size_t>(v);
     }
+    // A worker count: positive and at most ThreadPool::kMaxThreads, refused
+    // here so an absurd --threads fails before any pool is built.
+    std::size_t workers(const std::string& name) const {
+        const std::size_t v = count(name);
+        if (v > mcs::ThreadPool::kMaxThreads) {
+            throw mcs::Error("--" + name + " must be at most " +
+                             std::to_string(mcs::ThreadPool::kMaxThreads));
+        }
+        return v;
+    }
 
 private:
     std::map<std::string, std::string> values_;
@@ -543,13 +554,14 @@ int cmd_clean(const Args& args) {
 
     // Runtime knobs: any of them routes the run through FleetRunner.
     const std::size_t threads =
-        args.has("threads") ? args.count("threads") : 1;
+        args.has("threads") ? args.workers("threads") : 1;
     const std::size_t shard_size =
         args.has("shard-size") ? args.count("shard-size") : 0;
     const std::size_t shard_count =
         args.has("shard-count") ? args.count("shard-count") : 0;
     const std::size_t kernel_threads =
-        args.has("kernel-threads") ? args.count("kernel-threads") : 1;
+        args.has("kernel-threads") ? args.workers("kernel-threads")
+                                  : 1;
     const mcs::KernelTier tier =
         mcs::parse_kernel_tier(args.get_or("tier", "exact"));
     const std::size_t row_block_threshold =
@@ -939,7 +951,7 @@ int cmd_serve(const Args& args) {
     serve.framework.cs.solver = solver;
 
     const std::size_t threads =
-        args.has("threads") ? args.count("threads") : 1;
+        args.has("threads") ? args.workers("threads") : 1;
     const std::size_t shard_size =
         args.has("shard-size") ? args.count("shard-size") : 0;
     const std::size_t shard_count =

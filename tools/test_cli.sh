@@ -161,6 +161,36 @@ if "$ITSCS" clean --solvr lrsd --in "$WORKDIR/corrupted.csv" \
 fi
 grep -q 'unknown flag --solvr (did you mean --solver?)' "$WORKDIR/unknown.err"
 
+echo "== only the exact and fast kernel tiers exist =="
+if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
+    --slots 60 --tier mixed --out "$WORKDIR/never.csv" \
+    2> "$WORKDIR/tier.err"; then
+    echo "expected --tier mixed to be refused"; exit 1
+fi
+grep -q "unknown kernel tier 'mixed' (expected exact | fast)" \
+    "$WORKDIR/tier.err"
+grep -q -- '--tier=T .*exact | fast (default exact)' "$WORKDIR/help.out"
+if grep -q 'mixed' "$WORKDIR/help.out"; then
+    echo "help still mentions the mixed tier"; exit 1
+fi
+
+echo "== worker counts above the ceiling are refused before any start =="
+# 1025 is one past ThreadPool::kMaxThreads; the CLI refuses it while
+# validating flags, so no pool is built.
+for flag in --threads --kernel-threads; do
+    if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
+        --slots 60 "$flag" 1025 --out "$WORKDIR/never.csv" \
+        2> "$WORKDIR/workers.err"; then
+        echo "expected $flag 1025 to be refused"; exit 1
+    fi
+    grep -q -- "$flag must be at most 1024" "$WORKDIR/workers.err"
+done
+if "$ITSCS" serve --in "$WORKDIR/corrupted.csv" --participants 20 \
+    --slots 60 --threads 1025 2> "$WORKDIR/workers.err"; then
+    echo "expected serve --threads 1025 to be refused"; exit 1
+fi
+grep -q -- "--threads must be at most 1024" "$WORKDIR/workers.err"
+
 echo "== usage errors =="
 if "$ITSCS" frobnicate 2>/dev/null; then
     echo "expected usage failure"; exit 1
