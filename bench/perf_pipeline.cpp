@@ -685,31 +685,16 @@ mcs::Json scale_sweep_report(std::size_t repeat, bool quick, bool* ok_out) {
             runner.run_streamed(*store, mcs::ItscsConfig{});
 
         std::vector<std::uint32_t> crcs;
-        bool equal = true;
         for (std::size_t s = 0; s < store->shards().size(); ++s) {
             crcs.push_back(store->output_crc(s));
-            const std::size_t rows = store->shards()[s].size();
-            mcs::Matrix det(rows, slots);
-            mcs::Matrix rx(rows, slots);
-            mcs::Matrix ry(rows, slots);
-            double* mats[mcs::kSlabOutputMatrices] = {
-                det.data().data(), rx.data().data(), ry.data().data()};
-            store->read_outputs(s, mats);
-            const std::size_t begin = small_plan.shards()[s].begin;
-            for (std::size_t k = 0; equal && k < rows; ++k) {
-                for (std::size_t j = 0; j < slots; ++j) {
-                    if (in_core.aggregate.detection(begin + k, j) !=
-                            det(k, j) ||
-                        in_core.aggregate.reconstructed_x(begin + k, j) !=
-                            rx(k, j) ||
-                        in_core.aggregate.reconstructed_y(begin + k, j) !=
-                            ry(k, j)) {
-                        equal = false;
-                        break;
-                    }
-                }
-            }
         }
+        const mcs::SlabOutputs outputs = mcs::gather_outputs(*store);
+        const bool equal =
+            bitwise_equal(outputs.detection, in_core.aggregate.detection) &&
+            bitwise_equal(outputs.reconstructed_x,
+                          in_core.aggregate.reconstructed_x) &&
+            bitwise_equal(outputs.reconstructed_y,
+                          in_core.aggregate.reconstructed_y);
         if (threads == 1) {
             reference_crcs = crcs;
         }

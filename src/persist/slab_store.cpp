@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -124,6 +125,42 @@ void load_elements(double* dst, const std::uint8_t* src, std::size_t n,
     }
 }
 
+// The layout every slab address is computed from, checked at create and at
+// open: a CRC-valid but self-inconsistent slabs.meta is refused instead of
+// addressing bytes outside the map.
+void check_layout(const SlabGeometry& g,
+                  const std::vector<SlabShardInfo>& shards) {
+    MCS_CHECK_MSG(g.shard_count == shards.size() && !shards.empty(),
+                  "SlabStore: geometry shard_count disagrees with the "
+                  "shard list, or the list is empty");
+    // participants × slots × 128 bytes stays representable, so every
+    // stride below is too.
+    constexpr std::size_t kMaxCells =
+        std::numeric_limits<std::size_t>::max() / 128;
+    MCS_CHECK_MSG(g.slots > 0 && g.participants > 0 &&
+                      g.participants <= kMaxCells / g.slots,
+                  "SlabStore: empty or implausible geometry");
+    std::size_t max_rows = 0;
+    for (const SlabShardInfo& s : shards) {
+        const bool inside =
+            s.rows.empty()
+                ? s.begin < s.end && s.end <= g.participants
+                : s.rows.size() <= g.participants &&
+                      std::all_of(s.rows.begin(), s.rows.end(),
+                                  [&](std::uint32_t r) {
+                                      return r < g.participants;
+                                  });
+        MCS_CHECK_MSG(inside, "SlabStore: a shard is empty or has rows "
+                              "outside the fleet");
+        max_rows = std::max(max_rows, s.size());
+    }
+    MCS_CHECK_MSG(g.max_shard_rows == max_rows,
+                  "SlabStore: max_shard_rows disagrees with the shard list");
+    MCS_CHECK_MSG(g.shard_count <= std::numeric_limits<std::size_t>::max() /
+                                       (g.input_stride() + g.output_stride()),
+                  "SlabStore: implausible shard count");
+}
+
 }  // namespace
 
 const char* to_string(StorageTier tier) {
@@ -170,17 +207,7 @@ SlabStore::SlabStore(const std::string& dir, const SlabGeometry& geometry,
                      std::vector<SlabShardInfo> shards)
     : dir_(dir), geometry_(geometry), shards_(std::move(shards)) {
     MCS_CHECK_MSG(!dir_.empty(), "SlabStore: empty directory");
-    MCS_CHECK_MSG(geometry_.shard_count == shards_.size(),
-                  "SlabStore: geometry shard_count disagrees with the "
-                  "shard list");
-    MCS_CHECK_MSG(geometry_.slots > 0 && geometry_.participants > 0,
-                  "SlabStore: empty geometry");
-    std::size_t max_rows = 0;
-    for (const SlabShardInfo& s : shards_) {
-        max_rows = std::max(max_rows, s.size());
-    }
-    MCS_CHECK_MSG(geometry_.max_shard_rows == max_rows,
-                  "SlabStore: max_shard_rows disagrees with the shard list");
+    check_layout(geometry_, shards_);
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     MCS_CHECK_MSG(!ec,
@@ -201,6 +228,7 @@ SlabStore::SlabStore(const std::string& dir) : dir_(dir) {
                       "/slabs.meta is missing or corrupt; delete the slab "
                       "directory and re-ingest");
     decode_meta(scan.frames.front(), &geometry_, &shards_);
+    check_layout(geometry_, shards_);
     map_file(/*truncate_to_size=*/true);
 }
 
@@ -322,6 +350,32 @@ void SlabStore::sync() const {
     if (map_ != nullptr) {
         ::msync(map_, map_size_, MS_SYNC);
     }
+}
+
+SlabOutputs gather_outputs(const SlabStore& store) {
+    const std::size_t n = store.geometry().participants;
+    const std::size_t t = store.geometry().slots;
+    SlabOutputs out{Matrix(n, t), Matrix(n, t), Matrix(n, t)};
+    Matrix* fleet[kSlabOutputMatrices] = {
+        &out.detection, &out.reconstructed_x, &out.reconstructed_y};
+    Matrix shard[kSlabOutputMatrices];
+    for (std::size_t s = 0; s < store.shards().size(); ++s) {
+        const SlabShardInfo& info = store.shards()[s];
+        double* mats[kSlabOutputMatrices];
+        for (std::size_t m = 0; m < kSlabOutputMatrices; ++m) {
+            shard[m] = Matrix(info.size(), t);
+            mats[m] = shard[m].data().data();
+        }
+        store.read_outputs(s, mats);
+        for (std::size_t k = 0; k < info.size(); ++k) {
+            for (std::size_t m = 0; m < kSlabOutputMatrices; ++m) {
+                const auto src = shard[m].row(k);
+                std::copy(src.begin(), src.end(),
+                          fleet[m]->row(info.row_at(k)).begin());
+            }
+        }
+    }
+    return out;
 }
 
 }  // namespace mcs

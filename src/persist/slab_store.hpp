@@ -46,6 +46,8 @@
 #include <string>
 #include <vector>
 
+#include "linalg/matrix.hpp"
+
 namespace mcs {
 
 /// Element representation inside slabs.bin. Solves always run on doubles
@@ -79,6 +81,11 @@ struct SlabShardInfo {
     std::size_t size() const {
         return rows.empty() ? static_cast<std::size_t>(end - begin)
                             : rows.size();
+    }
+    /// Fleet row of the shard's k-th member, k in [0, size()).
+    std::size_t row_at(std::size_t k) const {
+        return rows.empty() ? static_cast<std::size_t>(begin) + k
+                            : static_cast<std::size_t>(rows[k]);
     }
 };
 
@@ -129,7 +136,8 @@ public:
     SlabStore(const std::string& dir, const SlabGeometry& geometry,
               std::vector<SlabShardInfo> shards);
 
-    /// Open an existing store: decode and verify slabs.meta, then
+    /// Open an existing store: decode and verify slabs.meta (including the
+    /// layout checks the creating constructor makes), then
     /// ftruncate slabs.bin to the geometry's size (a crash-torn file is
     /// zero-extended so every read is in-bounds; torn shards fail their
     /// journaled CRC and re-run) and map it. Throws mcs::Error when the
@@ -189,5 +197,18 @@ private:
     std::uint8_t* map_ = nullptr;
     std::size_t map_size_ = 0;
 };
+
+/// A store's three output matrices at fleet size (participants × slots).
+struct SlabOutputs {
+    Matrix detection;
+    Matrix reconstructed_x;
+    Matrix reconstructed_y;
+};
+
+/// Read every shard's output slab and place its rows at the shard's member
+/// rows (SlabShardInfo::row_at) of fleet-sized matrices — for callers that
+/// want an out-of-core run's result in memory, such as the CLI's CSV
+/// output. Holds the whole fleet's outputs.
+SlabOutputs gather_outputs(const SlabStore& store);
 
 }  // namespace mcs

@@ -1,10 +1,10 @@
 #include "runtime/fleet_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -112,6 +112,13 @@ ItscsConfig conservative_config(const ItscsConfig& config, std::size_t rows,
     return c;
 }
 
+// The five input matrices of a fleet or shard input, in slab order
+// (S_X, S_Y, Vx, Vy, ℰ).
+template <typename Input>
+auto input_matrices(Input& in) {
+    return std::array{&in.sx, &in.sy, &in.vx, &in.vy, &in.existence};
+}
+
 // Clear ℰ on every observed cell where any of the four matrices is
 // non-finite and zero the cell everywhere, so the retry solves a strictly
 // smaller but well-posed problem. Returns the number of cells cleared.
@@ -124,11 +131,9 @@ std::size_t sanitize_non_finite(ItscsInput& in) {
             }
             if (!std::isfinite(in.sx(i, j)) || !std::isfinite(in.sy(i, j)) ||
                 !std::isfinite(in.vx(i, j)) || !std::isfinite(in.vy(i, j))) {
-                in.existence(i, j) = 0.0;
-                in.sx(i, j) = 0.0;
-                in.sy(i, j) = 0.0;
-                in.vx(i, j) = 0.0;
-                in.vy(i, j) = 0.0;
+                for (Matrix* m : input_matrices(in)) {
+                    (*m)(i, j) = 0.0;
+                }
                 ++cleared;
             }
         }
@@ -185,12 +190,8 @@ void scatter_rows(Matrix& dst, const Matrix& src, const Shard& shard) {
 // any solve.
 void mask_rows(ItscsInput& input, const std::vector<std::size_t>& rows) {
     for (const std::size_t i : rows) {
-        for (std::size_t j = 0; j < input.existence.cols(); ++j) {
-            input.existence(i, j) = 0.0;
-            input.sx(i, j) = 0.0;
-            input.sy(i, j) = 0.0;
-            input.vx(i, j) = 0.0;
-            input.vy(i, j) = 0.0;
+        for (Matrix* m : input_matrices(input)) {
+            std::fill(m->row(i).begin(), m->row(i).end(), 0.0);
         }
     }
 }
@@ -218,10 +219,10 @@ void apply_outage_labels(Matrix& detection, const Matrix& existence,
 // Everything between "staged shard input ready" and "shard result ready":
 // the unguarded single solve, or the guarded degradation ladder of
 // DESIGN.md §11 (nominal → conservative → interpolation → detect-only).
-// Shared verbatim by the in-core (run_sharded) and out-of-core
-// (run_streamed) paths so the two are bit-identical by construction. `si`
-// is the shard's staged input — mutated by chaos and sanitisation — and
-// `sctx` its private context.
+// Called once per shard by the one shard loop, whichever ShardIo staged the
+// input, so in-core and out-of-core runs are bit-identical by
+// construction. `si` is the shard's staged input — mutated by chaos and
+// sanitisation — and `sctx` its private context.
 void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
                       std::size_t s, ItscsInput& si, PipelineContext& sctx,
                       const ItscsWarmStart* warm_seed,
@@ -333,15 +334,13 @@ void run_shard_ladder(const RuntimeConfig& rcfg, const ItscsConfig& config,
         result.reconstructed_y = si.sy;
         try {
             const Matrix zeros(rows, t);
-            Matrix dx = ts_detect(si.sx, zeros, average_velocity(si.vx),
-                                  Matrix::constant(rows, t, 1.0),
-                                  si.existence, si.tau_s, config.detector,
-                                  true, &sctx);
-            Matrix dy = ts_detect(si.sy, zeros, average_velocity(si.vy),
-                                  Matrix::constant(rows, t, 1.0),
-                                  si.existence, si.tau_s, config.detector,
-                                  true, &sctx);
-            result.detection = detection_union(dx, dy);
+            const auto detect = [&](const Matrix& pos, const Matrix& vel) {
+                return ts_detect(pos, zeros, average_velocity(vel),
+                                 Matrix::constant(rows, t, 1.0), si.existence,
+                                 si.tau_s, config.detector, true, &sctx);
+            };
+            const Matrix dx = detect(si.sx, si.vx);
+            result.detection = detection_union(dx, detect(si.sy, si.vy));
         } catch (const std::exception&) {
             result.detection = Matrix(rows, t);
         }
@@ -415,6 +414,135 @@ void merge_fleet_diagnostics(
         }
     }
 }
+
+}  // namespace
+
+// The shard-I/O seam of the one shard loop (FleetRunner::run_shards): an
+// in-core and an out-of-core fleet differ only in where a shard's rows come
+// from, where its result goes, and what its journal record carries. Calls
+// for different shards run concurrently; shards own disjoint rows and slabs.
+class ShardIo {
+public:
+    virtual ~ShardIo() = default;
+    /// Fill `staged` (matrices acquired at the shard's shape) with the
+    /// shard's input rows and the fleet's tau_s.
+    virtual void read(const Shard& shard, ItscsInput& staged) = 0;
+    /// Advice: shard `s` is this worker's next one.
+    virtual void prefetch(std::size_t /*s*/) {}
+    /// Store the shard's result; with a journal (`record` non-null), also
+    /// fill the record's payload: the result rows, or where they went.
+    virtual void write(const Shard& shard, const ItscsResult& result,
+                       PipelineContext& sctx, ShardCheckpoint* record) = 0;
+    /// Check a journaled record's payload and, when it holds, restore the
+    /// shard's result from it; false = the shard re-runs.
+    virtual bool restore(const Shard& shard,
+                         const ShardCheckpoint& record) = 0;
+    /// The shard is committed: drop what it still holds resident.
+    virtual void release(std::size_t /*s*/) {}
+};
+
+namespace {
+
+// In-core staging: slice shards out of the fleet input, scatter results
+// into fleet-sized matrices, and journal the result rows in full.
+class InCoreIo final : public ShardIo {
+public:
+    explicit InCoreIo(const ItscsInput& input)
+        : detection(input.sx.rows(), input.sx.cols()),
+          reconstructed_x(input.sx.rows(), input.sx.cols()),
+          reconstructed_y(input.sx.rows(), input.sx.cols()),
+          input_(input) {}
+
+    void read(const Shard& shard, ItscsInput& staged) override {
+        const auto dst = input_matrices(staged);
+        const auto src = input_matrices(input_);
+        for (std::size_t m = 0; m < kSlabInputMatrices; ++m) {
+            slice_rows(*dst[m], *src[m], shard);
+        }
+        staged.tau_s = input_.tau_s;
+    }
+
+    void write(const Shard& shard, const ItscsResult& result,
+               PipelineContext&, ShardCheckpoint* record) override {
+        scatter_rows(detection, result.detection, shard);
+        scatter_rows(reconstructed_x, result.reconstructed_x, shard);
+        scatter_rows(reconstructed_y, result.reconstructed_y, shard);
+        if (record != nullptr) {
+            record->detection = result.detection;
+            record->reconstructed_x = result.reconstructed_x;
+            record->reconstructed_y = result.reconstructed_y;
+        }
+    }
+
+    bool restore(const Shard& shard, const ShardCheckpoint& record) override {
+        const auto fits = [&](const Matrix& m) {
+            return m.rows() == shard.size() && m.cols() == detection.cols();
+        };
+        if (record.outputs_in_slab || !fits(record.detection) ||
+            !fits(record.reconstructed_x) || !fits(record.reconstructed_y)) {
+            return false;
+        }
+        scatter_rows(detection, record.detection, shard);
+        scatter_rows(reconstructed_x, record.reconstructed_x, shard);
+        scatter_rows(reconstructed_y, record.reconstructed_y, shard);
+        return true;
+    }
+
+    /// Fleet-sized results, stitched from the shards.
+    Matrix detection;
+    Matrix reconstructed_x;
+    Matrix reconstructed_y;
+
+private:
+    const ItscsInput& input_;
+};
+
+// Out-of-core staging (DESIGN.md §18): read each shard from its input slab,
+// write its result to its output slab, journal only that slab's CRC, and
+// drop the shard's pages once it is committed.
+class SlabIo final : public ShardIo {
+public:
+    explicit SlabIo(SlabStore& store) : store_(store) {}
+
+    void read(const Shard& shard, ItscsInput& staged) override {
+        double* mats[kSlabInputMatrices];
+        std::ranges::transform(input_matrices(staged), mats,
+                               [](Matrix* m) { return m->data().data(); });
+        store_.read_inputs(shard.index, mats);
+        staged.tau_s = store_.geometry().tau_s;
+    }
+
+    // Overlap the next scheduled shard's page-in with this shard's
+    // compute; madvise does the rest.
+    void prefetch(std::size_t s) override { store_.prefetch_inputs(s); }
+
+    void write(const Shard& shard, const ItscsResult& result,
+               PipelineContext& sctx, ShardCheckpoint* record) override {
+        sctx.counters().slab_shards_streamed += 1;
+        const double* mats[kSlabOutputMatrices] = {
+            result.detection.data().data(),
+            result.reconstructed_x.data().data(),
+            result.reconstructed_y.data().data()};
+        store_.write_outputs(shard.index, mats);
+        if (record != nullptr) {
+            record->outputs_in_slab = true;
+            record->output_slab_crc = store_.output_crc(shard.index);
+        }
+    }
+
+    // The slab must still hold the committed bytes: a torn or lost slab
+    // (open() zero-extends) fails the CRC and the shard re-runs — the
+    // corrupt-frame discipline, one layer down.
+    bool restore(const Shard& shard, const ShardCheckpoint& record) override {
+        return record.outputs_in_slab &&
+               record.output_slab_crc == store_.output_crc(shard.index);
+    }
+
+    void release(std::size_t s) override { store_.evict(s); }
+
+private:
+    SlabStore& store_;
+};
 
 }  // namespace
 
@@ -504,8 +632,7 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
                                       PipelineContext* ctx) {
     if (config_.defense == nullptr || config_.defense->spec().idle()) {
         // No defence, no deviation: this is the exact pre-defence path.
-        return run_sharded(input, base_config, warm, ctx,
-                           /*allow_checkpoint=*/true);
+        return run_in_core(input, base_config, warm, ctx);
     }
     const DefenseSuite& defense = *config_.defense;
 
@@ -531,8 +658,7 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
         // Nothing to quarantine: one plain sharded run, bit-identical to
         // a defence-off run apart from the outage relabel (which is a
         // no-op unless a dark block was classified).
-        FleetResult out = run_sharded(input, base_config, warm, ctx,
-                                      /*allow_checkpoint=*/true);
+        FleetResult out = run_in_core(input, base_config, warm, ctx);
         apply_outage_labels(out.aggregate.detection, input.existence, report);
         charge(report);
         out.defense = std::move(report);
@@ -545,7 +671,7 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
     // solve without the confirmed rows.
     ItscsInput honest = input;
     mask_rows(honest, report.quarantined);
-    FleetResult honest_run = run_sharded(honest, base_config, nullptr, ctx,
+    FleetResult honest_run = run_in_core(honest, base_config, nullptr, ctx,
                                          /*allow_checkpoint=*/false);
     {
         PipelineContext::PhaseScope scope(ctx, "defense");
@@ -561,13 +687,11 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
         // honest input — reuse that solve instead of repeating it.
         out = std::move(honest_run);
     } else if (report.confirmed.empty()) {
-        out = run_sharded(input, base_config, warm, ctx,
-                          /*allow_checkpoint=*/true);
+        out = run_in_core(input, base_config, warm, ctx);
     } else {
         ItscsInput final_input = input;
         mask_rows(final_input, report.confirmed);
-        out = run_sharded(final_input, base_config, warm, ctx,
-                          /*allow_checkpoint=*/true);
+        out = run_in_core(final_input, base_config, warm, ctx);
     }
 
     // Confirmed frauds: every cell they uploaded is flagged faulty, and
@@ -589,11 +713,44 @@ FleetResult FleetRunner::run_defended(const ItscsInput& input,
     return out;
 }
 
-FleetResult FleetRunner::run_sharded(const ItscsInput& input,
-                                     const ItscsConfig& base_config,
+FleetResult FleetRunner::run_in_core(const ItscsInput& input,
+                                     const ItscsConfig& config,
                                      WarmStartState* warm,
                                      PipelineContext* ctx,
                                      bool allow_checkpoint) {
+    // Guarded runs defer the finite-value scan to each shard's ladder so a
+    // poisoned cell faults one shard, not the fleet; unguarded runs keep
+    // the strict throw-at-the-boundary contract.
+    if (config_.guard) {
+        input.validate_shapes();
+    } else {
+        input.validate();
+    }
+    const ShardPlan plan = plan_for(input);
+    InCoreIo io(input);
+
+    CheckpointManifest journal;
+    const bool journaled = allow_checkpoint && !config_.checkpoint_dir.empty();
+    if (journaled) {
+        journal.participants = input.sx.rows();
+        journal.input_fingerprint = input.fingerprint();
+        journal.planner = to_string(plan.mode());
+        journal.plan_fingerprint = plan.fingerprint();
+    }
+    FleetResult out = run_shards(plan.shards(), input.sx.cols(), io, config,
+                                 journaled ? &journal : nullptr, warm, ctx);
+    out.aggregate.detection = std::move(io.detection);
+    out.aggregate.reconstructed_x = std::move(io.reconstructed_x);
+    out.aggregate.reconstructed_y = std::move(io.reconstructed_y);
+    return out;
+}
+
+FleetResult FleetRunner::run_shards(const std::vector<Shard>& shards,
+                                    std::size_t t, ShardIo& io,
+                                    const ItscsConfig& base_config,
+                                    const CheckpointManifest* journal,
+                                    WarmStartState* warm,
+                                    PipelineContext* ctx) {
     // Resolve the effective solver backend: the RuntimeConfig knob applies
     // when the core config keeps the default, so the backend can be chosen
     // on either side (CLI --solver sets the runtime knob; programmatic
@@ -604,18 +761,7 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
         config.cs.solver == SolverKind::kAsd) {
         config.cs.solver = config_.solver;
     }
-    // Guarded runs defer the finite-value scan to each shard's ladder so a
-    // poisoned cell faults one shard, not the fleet; unguarded runs keep
-    // the strict throw-at-the-boundary contract.
-    if (config_.guard) {
-        input.validate_shapes();
-    } else {
-        input.validate();
-    }
-    const std::size_t n = input.sx.rows();
-    const std::size_t t = input.sx.cols();
-    const ShardPlan plan = plan_for(input);
-    const std::size_t count = plan.count();
+    const std::size_t count = shards.size();
 
     if (warm != nullptr) {
         // Journaled shard records carry no factors, so a resumed run could
@@ -632,15 +778,14 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
     }
 
     // Per-shard seeds drawn by index on this thread — the decomposition's
-    // seeds never depend on which worker runs which shard.
+    // seeds never depend on which worker runs which shard, nor on whether
+    // the shard is staged in core or from a slab.
     Rng root(config_.seed);
     std::vector<std::uint64_t> seeds(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        seeds[s] = root.next_u64();
-    }
     std::vector<PipelineContext> contexts;
     contexts.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
+        seeds[s] = root.next_u64();
         contexts.emplace_back(seeds[s]);
         // Stamp the configured tier and backend up front so even shards
         // that never run (restored from a checkpoint) report what the run
@@ -650,9 +795,6 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
     }
 
     FleetResult out;
-    out.aggregate.detection = Matrix(n, t);
-    out.aggregate.reconstructed_x = Matrix(n, t);
-    out.aggregate.reconstructed_y = Matrix(n, t);
     out.shards.resize(count);
     std::vector<std::vector<ItscsIterationStats>> histories(count);
 
@@ -660,21 +802,17 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
     CheckpointSummary& cp = out.checkpoint;
     std::unique_ptr<CheckpointStore> store;
     std::vector<bool> restored(count, false);
-    if (allow_checkpoint && !config_.checkpoint_dir.empty()) {
+    if (journal != nullptr) {
         cp.enabled = true;
         store = std::make_unique<CheckpointStore>(config_.checkpoint_dir);
 
-        CheckpointManifest manifest;
-        manifest.participants = n;
+        CheckpointManifest manifest = *journal;
         manifest.slots = t;
-        manifest.input_fingerprint = input.fingerprint();
         manifest.config_fingerprint = config_fingerprint(config);
         manifest.runtime_fingerprint = runtime_fingerprint(config_);
         manifest.kernel_tier = config_.kernel_tier;
         manifest.solver = config.cs.solver;
-        manifest.planner = to_string(plan.mode());
-        manifest.plan_fingerprint = plan.fingerprint();
-        for (const Shard& shard : plan.shards()) {
+        for (const Shard& shard : shards) {
             manifest.shards.emplace_back(shard.begin, shard.end);
             manifest.shard_members.push_back(shard.members_fingerprint());
         }
@@ -696,36 +834,27 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
 
             for (auto& [index, record] : load.shards) {
                 // The frame had a valid CRC and decoded, but its contents
-                // must still agree with the recomputed plan and seeds —
-                // anything else is treated exactly like a corrupt frame:
-                // dropped, reported, and the shard re-run.
-                const Shard* shard =
-                    index < count ? &plan.shards()[index] : nullptr;
-                const std::size_t rows =
-                    shard != nullptr ? shard->size() : 0;
+                // must still agree with the recomputed plan and seeds, and
+                // its payload must hold up — anything else is treated
+                // exactly like a corrupt frame: dropped, reported, and the
+                // shard re-run.
+                const Shard* shard = index < count ? &shards[index] : nullptr;
                 const bool consistent =
                     shard != nullptr && record.row_begin == shard->begin &&
                     record.row_end == shard->end &&
                     record.members_fingerprint ==
                         shard->members_fingerprint() &&
                     record.seed == seeds[index] &&
-                    !record.outputs_in_slab &&
-                    record.detection.rows() == rows &&
-                    record.detection.cols() == t &&
-                    record.reconstructed_x.rows() == rows &&
-                    record.reconstructed_x.cols() == t &&
-                    record.reconstructed_y.rows() == rows &&
-                    record.reconstructed_y.cols() == t;
+                    io.restore(*shard, record);
                 if (!consistent) {
                     ++cp.corrupt_frames;
-                    FailureReport bad;
-                    bad.kind = FailureKind::kCheckpointCorrupt;
-                    bad.phase = "journal";
-                    bad.shard = index;
-                    bad.detail =
-                        "journaled record contradicts the recomputed "
-                        "shard plan/seed; shard will re-run";
-                    cp.journal_failures.push_back(std::move(bad));
+                    cp.journal_failures.push_back(
+                        {.kind = FailureKind::kCheckpointCorrupt,
+                         .phase = "journal",
+                         .shard = index,
+                         .detail = "journaled record contradicts the "
+                                   "recomputed shard plan/seed or its stored "
+                                   "result; shard will re-run"});
                     continue;
                 }
 
@@ -734,17 +863,9 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
                 report.seed = record.seed;
                 report.iterations = record.iterations;
                 report.converged = record.converged;
-                report.level =
-                    static_cast<DegradationLevel>(record.level);
+                report.level = static_cast<DegradationLevel>(record.level);
                 report.attempts = record.attempts;
                 report.failures = std::move(record.failures);
-
-                scatter_rows(out.aggregate.detection, record.detection,
-                             *shard);
-                scatter_rows(out.aggregate.reconstructed_x,
-                             record.reconstructed_x, *shard);
-                scatter_rows(out.aggregate.reconstructed_y,
-                             record.reconstructed_y, *shard);
                 histories[index] = std::move(record.history);
 
                 // Fold the original process's instrumentation into the
@@ -777,33 +898,28 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
     KernelParallelScope kernel_scope(config_.kernel_threads);
     RowBlockThresholdScope threshold_scope(config_.kernel_row_block_threshold);
 
-    auto run_shard = [&](std::size_t s) {
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    auto run_shard = [&](std::size_t s, std::size_t next) {
         // The tier is thread-local ambient state, so each worker installs
         // it per shard — kernels read it once at entry on this thread
         // before fanning rows out to any RowExecutor.
         KernelTierScope tier_scope(config_.kernel_tier);
-        const Shard& shard = plan.shards()[s];
+        const Shard& shard = shards[s];
         const std::size_t rows = shard.size();
         const std::size_t worker = ThreadPool::worker_index();
-        Workspace& ws = workspaces_[worker == static_cast<std::size_t>(-1)
-                                        ? 0
-                                        : worker];
+        Workspace& ws = workspaces_[worker == kNone ? 0 : worker];
 
-        // Stage the shard's input slices in the worker's arena: a worker
-        // running several same-shaped shards allocates the staging
-        // buffers once.
+        if (next != kNone) {
+            io.prefetch(next);
+        }
+
+        // Stage the shard's input in the worker's arena: a worker running
+        // several same-shaped shards allocates the staging buffers once.
         ItscsInput si;
-        si.sx = ws.acquire(rows, t);
-        si.sy = ws.acquire(rows, t);
-        si.vx = ws.acquire(rows, t);
-        si.vy = ws.acquire(rows, t);
-        si.existence = ws.acquire(rows, t);
-        si.tau_s = input.tau_s;
-        slice_rows(si.sx, input.sx, shard);
-        slice_rows(si.sy, input.sy, shard);
-        slice_rows(si.vx, input.vx, shard);
-        slice_rows(si.vy, input.vy, shard);
-        slice_rows(si.existence, input.existence, shard);
+        for (Matrix* m : input_matrices(si)) {
+            *m = ws.acquire(rows, t);
+        }
+        io.read(shard, si);
 
         ShardRunReport& report = out.shards[s];
         report.shard = shard;
@@ -832,11 +948,9 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
             }
         }
 
-        scatter_rows(out.aggregate.detection, result.detection, shard);
-        scatter_rows(out.aggregate.reconstructed_x, result.reconstructed_x,
-                     shard);
-        scatter_rows(out.aggregate.reconstructed_y, result.reconstructed_y,
-                     shard);
+        ShardCheckpoint record;
+        io.write(shard, result, contexts[s],
+                 store != nullptr ? &record : nullptr);
 
         if (store != nullptr) {
             // Count the commit first so the journaled counter snapshot
@@ -844,7 +958,6 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
             // original process made.
             contexts[s].counters().checkpoint_commits += 1;
 
-            ShardCheckpoint record;
             record.shard_index = s;
             record.row_begin = shard.begin;
             record.row_end = shard.end;
@@ -855,9 +968,6 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
             record.level = static_cast<std::uint32_t>(report.level);
             record.attempts = report.attempts;
             record.failures = report.failures;
-            record.detection = result.detection;
-            record.reconstructed_x = result.reconstructed_x;
-            record.reconstructed_y = result.reconstructed_y;
             record.history = result.history;
             record.counters = contexts[s].counters();
             record.phases = contexts[s].phase_stats();
@@ -878,24 +988,28 @@ FleetResult FleetRunner::run_sharded(const ItscsInput& input,
 
         histories[s] = std::move(result.history);
 
-        ws.release(std::move(si.sx));
-        ws.release(std::move(si.sy));
-        ws.release(std::move(si.vx));
-        ws.release(std::move(si.vy));
-        ws.release(std::move(si.existence));
+        for (Matrix* m : input_matrices(si)) {
+            ws.release(std::move(*m));
+        }
+        io.release(s);
     };
 
     // Work-stealing schedule (runtime/work_steal.hpp): scheduling decides
     // where a shard runs, never what it computes — the merge below stays
-    // in shard order, so output is bit-identical at any thread count.
+    // in shard order, so output is bit-identical at any thread count. The
+    // scheduler's next hint (the worker's own deque front) drives prefetch.
     if (pool_ != nullptr && pending.size() > 1) {
-        out.steals = steal_run(pool_.get(), threads_, pending.size(),
-                               [&](std::size_t k, std::size_t /*next*/) {
-                                   run_shard(pending[k]);
-                               });
+        out.steals =
+            steal_run(pool_.get(), threads_, pending.size(),
+                      [&](std::size_t k, std::size_t next_k) {
+                          run_shard(pending[k], next_k == kNone
+                                                    ? kNone
+                                                    : pending[next_k]);
+                      });
     } else {
-        for (const std::size_t s : pending) {
-            run_shard(s);
+        for (std::size_t k = 0; k < pending.size(); ++k) {
+            run_shard(pending[k],
+                      k + 1 < pending.size() ? pending[k + 1] : kNone);
         }
     }
 
@@ -956,13 +1070,11 @@ std::unique_ptr<SlabStore> FleetRunner::create_slab_store(
     // harness ingests synthetic shards directly, never holding the
     // fleet; this overload is the convenience for inputs already loaded).
     Matrix stage[kSlabInputMatrices];
+    const auto sources = input_matrices(input);
     for (const Shard& shard : plan.shards()) {
-        const std::size_t rows = shard.size();
-        const Matrix* sources[kSlabInputMatrices] = {
-            &input.sx, &input.sy, &input.vx, &input.vy, &input.existence};
         const double* mats[kSlabInputMatrices];
         for (std::size_t m = 0; m < kSlabInputMatrices; ++m) {
-            stage[m] = Matrix(rows, t);
+            stage[m] = Matrix(shard.size(), t);
             slice_rows(stage[m], *sources[m], shard);
             mats[m] = stage[m].data().data();
         }
@@ -985,7 +1097,7 @@ std::size_t FleetRunner::resident_window_bytes(
 }
 
 FleetResult FleetRunner::run_streamed(SlabStore& store,
-                                      const ItscsConfig& base_config,
+                                      const ItscsConfig& config,
                                       PipelineContext* ctx) {
     MCS_CHECK_MSG(
         config_.adversary == nullptr || config_.adversary->spec().idle(),
@@ -996,25 +1108,14 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
         "run_streamed: the defence suite's consistency tests need "
         "fleet-wide matrices — run the defence in-core");
 
-    ItscsConfig config = base_config;
-    if (config_.solver != SolverKind::kAsd &&
-        config.cs.solver == SolverKind::kAsd) {
-        config.cs.solver = config_.solver;
-    }
-
     const SlabGeometry& geometry = store.geometry();
-    const std::size_t t = geometry.slots;
-    const std::size_t count = store.shards().size();
-    MCS_CHECK_MSG(count > 0, "run_streamed: empty slab store");
+    MCS_CHECK_MSG(!store.shards().empty(), "run_streamed: empty slab store");
 
     // The store's plan is authoritative — the runner's planner knobs
     // shaped it at ingest time.
-    std::vector<Shard> shards(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        shards[s].index = s;
-        shards[s].begin = store.shards()[s].begin;
-        shards[s].end = store.shards()[s].end;
-        shards[s].rows = store.shards()[s].rows;
+    std::vector<Shard> shards;
+    for (const SlabShardInfo& info : store.shards()) {
+        shards.push_back({shards.size(), info.begin, info.end, info.rows});
     }
 
     if (config_.memory_budget_mb > 0) {
@@ -1032,253 +1133,22 @@ FleetResult FleetRunner::run_streamed(SlabStore& store,
                 "lower --threads / the shard size");
     }
 
-    // Per-shard seeds by index, exactly as in run_sharded — streamed and
-    // in-core runs of the same plan share their seed derivation, which is
-    // what makes them bit-comparable.
-    Rng root(config_.seed);
-    std::vector<std::uint64_t> seeds(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        seeds[s] = root.next_u64();
-    }
-    std::vector<PipelineContext> contexts;
-    contexts.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        contexts.emplace_back(seeds[s]);
-        contexts.back().set_kernel_tier(config_.kernel_tier);
-        contexts.back().set_solver_backend(config.cs.solver);
-    }
+    CheckpointManifest journal;
+    journal.participants = geometry.participants;
+    journal.input_fingerprint = geometry.input_fingerprint;
+    journal.planner =
+        to_string(static_cast<PlannerMode>(geometry.planner_mode));
+    journal.plan_fingerprint = geometry.plan_fingerprint;
+    journal.storage = to_string(geometry.tier);
+    journal.slab_max_rows = geometry.max_shard_rows;
 
-    FleetResult out;
     // Aggregate matrices stay EMPTY: fleet-sized results live in the
     // store's output slabs — materialising them here would defeat the
     // bounded resident window.
-    out.shards.resize(count);
-    std::vector<std::vector<ItscsIterationStats>> histories(count);
-
-    CheckpointSummary& cp = out.checkpoint;
-    std::unique_ptr<CheckpointStore> cp_store;
-    std::vector<bool> restored(count, false);
-    if (!config_.checkpoint_dir.empty()) {
-        cp.enabled = true;
-        cp_store = std::make_unique<CheckpointStore>(config_.checkpoint_dir);
-
-        CheckpointManifest manifest;
-        manifest.participants = geometry.participants;
-        manifest.slots = t;
-        manifest.input_fingerprint = geometry.input_fingerprint;
-        manifest.config_fingerprint = config_fingerprint(config);
-        manifest.runtime_fingerprint = runtime_fingerprint(config_);
-        manifest.kernel_tier = config_.kernel_tier;
-        manifest.solver = config.cs.solver;
-        manifest.planner = to_string(
-            static_cast<PlannerMode>(geometry.planner_mode));
-        manifest.plan_fingerprint = geometry.plan_fingerprint;
-        manifest.storage = to_string(geometry.tier);
-        manifest.slab_max_rows = geometry.max_shard_rows;
-        for (const Shard& shard : shards) {
-            manifest.shards.emplace_back(shard.begin, shard.end);
-            manifest.shard_members.push_back(shard.members_fingerprint());
-        }
-
-        if (config_.resume && cp_store->has_manifest()) {
-            const std::string why =
-                manifest.mismatch(cp_store->read_manifest());
-            MCS_CHECK_MSG(why.empty(),
-                          "checkpoint resume refused (" + why +
-                              "); delete " + config_.checkpoint_dir +
-                              " or drop --resume to start over");
-
-            CheckpointLoad load = cp_store->load();
-            cp.corrupt_frames = load.corrupt_frames;
-            cp.torn_tail = load.torn_tail;
-            cp.journal_failures = std::move(load.failures);
-
-            for (auto& [index, record] : load.shards) {
-                // A streamed record is metadata plus the output slab's
-                // CRC: the slab itself must still hold the committed
-                // bytes. A torn or lost slab (open() zero-extends) fails
-                // the CRC and the shard simply re-runs — exactly the
-                // corrupt-frame discipline, one layer down.
-                const Shard* shard =
-                    index < count ? &shards[index] : nullptr;
-                const bool consistent =
-                    shard != nullptr && record.row_begin == shard->begin &&
-                    record.row_end == shard->end &&
-                    record.members_fingerprint ==
-                        shard->members_fingerprint() &&
-                    record.seed == seeds[index] &&
-                    record.outputs_in_slab &&
-                    record.output_slab_crc == store.output_crc(index);
-                if (!consistent) {
-                    ++cp.corrupt_frames;
-                    FailureReport bad;
-                    bad.kind = FailureKind::kCheckpointCorrupt;
-                    bad.phase = "journal";
-                    bad.shard = index;
-                    bad.detail =
-                        "journaled record contradicts the recomputed plan/"
-                        "seed or its output slab failed CRC; shard will "
-                        "re-run";
-                    cp.journal_failures.push_back(std::move(bad));
-                    continue;
-                }
-
-                ShardRunReport& report = out.shards[index];
-                report.shard = *shard;
-                report.seed = record.seed;
-                report.iterations = record.iterations;
-                report.converged = record.converged;
-                report.level = static_cast<DegradationLevel>(record.level);
-                report.attempts = record.attempts;
-                report.failures = std::move(record.failures);
-                histories[index] = std::move(record.history);
-                contexts[index].absorb(record.counters, record.phases);
-                contexts[index].counters().checkpoint_shards_resumed += 1;
-                restored[index] = true;
-                ++cp.shards_loaded;
-            }
-        } else {
-            cp_store->begin(manifest);
-        }
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        if (!restored[s]) {
-            pending.push_back(s);
-        }
-    }
-    if (cp.enabled) {
-        cp.shards_run = pending.size();
-    }
-
-    KernelParallelScope kernel_scope(config_.kernel_threads);
-    RowBlockThresholdScope threshold_scope(
-        config_.kernel_row_block_threshold);
-
-    auto run_shard = [&](std::size_t s, std::size_t next) {
-        KernelTierScope tier_scope(config_.kernel_tier);
-        const Shard& shard = shards[s];
-        const std::size_t rows = shard.size();
-        const std::size_t worker = ThreadPool::worker_index();
-        Workspace& ws = workspaces_[worker == static_cast<std::size_t>(-1)
-                                        ? 0
-                                        : worker];
-
-        // Overlap the next scheduled shard's page-in with this shard's
-        // compute: the steal scheduler tells us what this worker will
-        // run next (its own deque front), and madvise does the rest.
-        if (next != static_cast<std::size_t>(-1)) {
-            store.prefetch_inputs(next);
-        }
-
-        ItscsInput si;
-        si.sx = ws.acquire(rows, t);
-        si.sy = ws.acquire(rows, t);
-        si.vx = ws.acquire(rows, t);
-        si.vy = ws.acquire(rows, t);
-        si.existence = ws.acquire(rows, t);
-        si.tau_s = geometry.tau_s;
-        {
-            double* mats[kSlabInputMatrices] = {
-                si.sx.data().data(), si.sy.data().data(),
-                si.vx.data().data(), si.vy.data().data(),
-                si.existence.data().data()};
-            store.read_inputs(s, mats);
-        }
-
-        ShardRunReport& report = out.shards[s];
-        report.shard = shard;
-        report.seed = seeds[s];
-
-        ItscsResult result;
-        run_shard_ladder(config_, config, s, si, contexts[s], nullptr,
-                         report, result);
-        contexts[s].counters().slab_shards_streamed += 1;
-
-        {
-            const double* mats[kSlabOutputMatrices] = {
-                result.detection.data().data(),
-                result.reconstructed_x.data().data(),
-                result.reconstructed_y.data().data()};
-            store.write_outputs(s, mats);
-        }
-
-        if (cp_store != nullptr) {
-            contexts[s].counters().checkpoint_commits += 1;
-
-            ShardCheckpoint record;
-            record.shard_index = s;
-            record.row_begin = shard.begin;
-            record.row_end = shard.end;
-            record.members_fingerprint = shard.members_fingerprint();
-            record.seed = seeds[s];
-            record.iterations = report.iterations;
-            record.converged = report.converged;
-            record.level = static_cast<std::uint32_t>(report.level);
-            record.attempts = report.attempts;
-            record.failures = report.failures;
-            record.outputs_in_slab = true;
-            record.output_slab_crc = store.output_crc(s);
-            record.history = result.history;
-            record.counters = contexts[s].counters();
-            record.phases = contexts[s].phase_stats();
-
-            const std::size_t crash_after =
-                config_.chaos != nullptr
-                    ? config_.chaos->config().crash_after_commits
-                    : 0;
-            cp_store->commit(record, [crash_after](std::size_t ordinal) {
-                if (crash_after > 0 && ordinal == crash_after) {
-                    std::abort();
-                }
-            });
-        }
-
-        histories[s] = std::move(result.history);
-
-        ws.release(std::move(si.sx));
-        ws.release(std::move(si.sy));
-        ws.release(std::move(si.vx));
-        ws.release(std::move(si.vy));
-        ws.release(std::move(si.existence));
-
-        // Committed: this shard's pages leave the resident window.
-        store.evict(s);
-    };
-
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    if (pool_ != nullptr && pending.size() > 1) {
-        out.steals =
-            steal_run(pool_.get(), threads_, pending.size(),
-                      [&](std::size_t k, std::size_t next_k) {
-                          run_shard(pending[k], next_k == kNone
-                                                    ? kNone
-                                                    : pending[next_k]);
-                      });
-    } else {
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            run_shard(pending[k],
-                      k + 1 < pending.size() ? pending[k + 1] : kNone);
-        }
-    }
-
-    // ---- joining barrier passed: single-threaded from here on ----
-
-    if (ctx != nullptr) {
-        for (const PipelineContext& shard_ctx : contexts) {
-            ctx->merge(shard_ctx);
-        }
-        ctx->counters().checkpoint_corrupt_frames += cp.corrupt_frames;
-        ctx->counters().shards_stolen += out.steals.stolen_items;
-    }
-    for (Workspace& ws : workspaces_) {
-        ws.clear();
-    }
-
-    merge_fleet_diagnostics(out.aggregate, out.shards, histories);
-    return out;
+    SlabIo io(store);
+    return run_shards(shards, geometry.slots, io, config,
+                      config_.checkpoint_dir.empty() ? nullptr : &journal,
+                      nullptr, ctx);
 }
 
 WindowEvaluator FleetRunner::window_evaluator() {

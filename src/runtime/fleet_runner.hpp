@@ -3,34 +3,33 @@
 // The paper evaluates one 158 x 240 matrix; a production fleet is orders
 // of magnitude taller. Participants decompose into shards (ShardPlan) that
 // detect/correct independently, so the runner executes run_itscs once per
-// shard across a ThreadPool and stitches the per-shard detections and
-// reconstructions back into fleet-sized matrices.
+// shard across a ThreadPool and stitches the results back together.
+//
+// One shard loop (DESIGN.md §10): run() slices shards out of the fleet
+// input and journals their result rows; run_streamed() reads them from a
+// SlabStore and journals only each output slab's CRC (DESIGN.md §18). Both
+// hand that shard I/O to one private loop, which seeds, restores,
+// schedules, walks the ladder, commits and merges.
 //
 // Determinism contract: shard boundaries, not scheduling order, define the
-// numerics. Every shard gets its own PipelineContext whose seed is drawn
-// from a root RNG *by shard index* on the calling thread, each worker owns
-// its private Workspace arena, and the per-shard contexts are merged into
-// the caller's context in shard order after the joining barrier — so for a
-// fixed RuntimeConfig (minus `threads`) the output is bit-identical at any
-// thread count, including 1, and identical to running run_itscs over each
-// shard sequentially.
+// numerics. Each shard's PipelineContext seed is drawn from a root RNG *by
+// shard index* on the calling thread, each worker owns a private Workspace
+// arena, and shard contexts merge into the caller's in shard order after
+// the joining barrier. For a fixed RuntimeConfig (minus `threads`) the
+// output is bit-identical at any thread count, equal to running run_itscs
+// over each shard sequentially, and (on f64 slabs) equal in and out of
+// core.
 //
-// Fault isolation (DESIGN.md §11): with guards enabled (the default) each
-// shard attempt runs under its own HealthMonitor, and a failed shard walks
-// a degradation ladder instead of failing the fleet —
-//   nominal → conservative retry (sanitized ℰ, higher λ₁, lower rank,
-//   more ASD iterations) → per-row linear interpolation → detect-only
-//   passthrough
-// — so the merged result is always finite and fleet-shaped, with the
-// failure recorded per shard. Healthy shards are bit-identical to a
-// guards-off run.
+// Fault isolation (DESIGN.md §11): with guards on, a failed shard walks
+// the degradation ladder (nominal → conservative retry → per-row linear
+// interpolation → detect-only) instead of failing the fleet, so the merged
+// result is always finite, with the failure recorded per shard. Healthy
+// shards are bit-identical to a guards-off run.
 //
-// Crash safety (DESIGN.md §12): with RuntimeConfig::checkpoint_dir set,
-// every completed shard is committed to a durable journal as it finishes,
-// and `resume` restores intact shards instead of re-running them. The
-// shard-indexed seed derivation above is what makes this sound: a resumed
-// shard's would-be seed equals its journaled seed, so restored rows are
-// bit-identical to recomputed ones.
+// Crash safety (DESIGN.md §12): with checkpoint_dir set, every completed
+// shard is journaled as it finishes and `resume` restores intact shards
+// instead of re-running them; the shard-indexed seeds make restored rows
+// equal recomputed ones.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +51,8 @@
 namespace mcs {
 
 class ChaosInjector;
+class ShardIo;
+struct CheckpointManifest;
 
 /// Knobs of the runtime subsystem (CLI: --threads / --shard-size /
 /// --kernel-threads).
@@ -117,8 +118,9 @@ struct RuntimeConfig {
 
     /// Resident-memory budget in MiB for run_streamed (CLI:
     /// --memory-budget); 0 = unchecked. The streamer refuses a budget
-    /// smaller than its minimum window (roughly two slabs plus the f64
-    /// staging arena per worker) instead of quietly thrashing.
+    /// below resident_window_bytes() instead of quietly thrashing. That
+    /// window leaves out solver scratch, so it does not cap RSS
+    /// (BENCH_scale.json: 105.9 MB peak against a 64.5 MB window).
     std::size_t memory_budget_mb = 0;
 
     /// Runtime override of the kernel row-block threshold (CLI:
@@ -276,22 +278,20 @@ public:
 
     /// Stream every shard of an out-of-core slab store through the
     /// I(TS,CS) pipeline (DESIGN.md §18): inputs are staged per shard
-    /// from the store's mmap, results written back to the store's output
-    /// slabs, and each shard's pages dropped after its commit — resident
-    /// memory is the in-flight window, not the fleet. The returned
-    /// FleetResult carries per-shard reports, checkpoint and steal
-    /// diagnostics but EMPTY aggregate matrices: fleet-sized results
-    /// stay in the store (SlabStore::read_outputs per shard).
+    /// from the store's mmap, results written to its output slabs, and
+    /// each shard's pages dropped after its commit — resident memory is
+    /// the in-flight window, not the fleet. The returned FleetResult has
+    /// per-shard reports, checkpoint and steal diagnostics but EMPTY
+    /// aggregate matrices: results stay in the store (gather_outputs).
     ///
     /// The store's own plan is authoritative (the runner's planner knobs
-    /// shaped it at create_slab_store time). Checkpointing works as in
-    /// run(): records are metadata-only (outputs_in_slab), carrying the
-    /// output slab's CRC, and resume re-verifies each CRC against the
-    /// slab — a torn slab re-runs its shard. Refuses a non-idle
-    /// adversary or defence (both are fleet-in-memory transforms) and a
-    /// memory budget smaller than the minimum resident window.
-    /// Bit-identity: with StorageTier::kF64 the streamed result equals
-    /// the in-core run of the same plan at any thread count.
+    /// shaped it at create_slab_store time). Journal records carry the
+    /// output slab's CRC instead of the rows (outputs_in_slab); resume
+    /// re-checks it, so a torn slab re-runs its shard. Refuses a non-idle
+    /// adversary or defence (both transform the fleet in memory) and a
+    /// memory budget below resident_window_bytes(). With
+    /// StorageTier::kF64 the result equals the in-core run of the same
+    /// plan at any thread count.
     FleetResult run_streamed(SlabStore& store, const ItscsConfig& config,
                              PipelineContext* ctx = nullptr);
 
@@ -313,10 +313,11 @@ public:
     std::unique_ptr<SlabStore> create_slab_store(
         const std::string& dir, const ItscsInput& input) const;
 
-    /// Bytes run_streamed keeps resident per the geometry: per worker,
-    /// the computing slab pair, the prefetched next input slab, and the
-    /// f64 staging arena. The value --memory-budget is checked against
-    /// (and the CLI report's resident-window line).
+    /// Slab and staging bytes run_streamed keeps resident per worker: the
+    /// computing slab pair, the prefetched next input slab, and the f64
+    /// staging arena. The value --memory-budget is checked against (and
+    /// the CLI report's resident-window line). Not counted: each worker's
+    /// solver scratch and the process baseline, so RSS runs above it.
     std::size_t resident_window_bytes(const SlabGeometry& geometry) const;
 
     /// Worker threads the runner resolved (>= 1).
@@ -330,23 +331,32 @@ public:
     WindowEvaluator window_evaluator();
 
 private:
-    /// The defence rung around run_sharded: analyze → (when the quarantine
+    /// The defence rung around run_in_core: analyze → (when the quarantine
     /// is non-empty) honest re-solve → re-test → final solve without the
     /// confirmed rows. `input` is post-adversary. With a null/idle defence
-    /// this is exactly one run_sharded call — the clean path is untouched.
+    /// this is exactly one run_in_core call — the clean path is untouched.
     FleetResult run_defended(const ItscsInput& input,
                              const ItscsConfig& base_config,
                              WarmStartState* warm, PipelineContext* ctx);
 
-    /// The sharded execution itself; `input` is post-adversary and
-    /// post-quarantine. `allow_checkpoint` gates the durable journal: only
-    /// the *final* solve of a defended run checkpoints (the intermediate
-    /// honest solve is recomputed on resume — it is deterministic, and
-    /// journaling it would double the store for no recovery value).
-    FleetResult run_sharded(const ItscsInput& input,
-                            const ItscsConfig& base_config,
+    /// In-core staging around run_shards; `input` is post-adversary and
+    /// post-quarantine. `allow_checkpoint` gates the journal: only the
+    /// *final* solve of a defended run checkpoints (the honest solve is
+    /// deterministic and recomputed on resume).
+    FleetResult run_in_core(const ItscsInput& input, const ItscsConfig& config,
                             WarmStartState* warm, PipelineContext* ctx,
-                            bool allow_checkpoint);
+                            bool allow_checkpoint = true);
+
+    /// The one shard loop behind run() and run_streamed(): seeds and
+    /// contexts by shard index, manifest handshake and journal restore,
+    /// work-stealing schedule, degradation ladder, commit, and the
+    /// shard-order merge after the barrier. `io` stages rows and stores
+    /// results; `t` is the slot count; `journal` holds the manifest fields
+    /// only the caller knows (null = no checkpoint); `warm` as in run().
+    FleetResult run_shards(const std::vector<Shard>& shards, std::size_t t,
+                           ShardIo& io, const ItscsConfig& base_config,
+                           const CheckpointManifest* journal,
+                           WarmStartState* warm, PipelineContext* ctx);
 
     RuntimeConfig config_;
     std::size_t threads_ = 1;

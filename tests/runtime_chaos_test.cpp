@@ -17,6 +17,7 @@
 #include "corruption/chaos.hpp"
 #include "corruption/scenario.hpp"
 #include "eval/methods.hpp"
+#include "fleet_path.hpp"
 #include "runtime/fleet_runner.hpp"
 #include "trace/simulator.hpp"
 
@@ -240,7 +241,17 @@ TEST(ChaosFleet, GuardsOnZeroFaultIsBitIdenticalToGuardsOff) {
     }
 }
 
-TEST(ChaosFleet, ChaosRunIsDeterministicAcrossThreadCounts) {
+// The ladder walks the same rungs whichever shard I/O staged the input:
+// the chaos run at 4 threads, in core or on f64 slabs, matches the in-core
+// run at 1 thread bit for bit, level for level.
+class ChaosFleetPath : public testing::TestWithParam<FleetPath> {};
+
+INSTANTIATE_TEST_SUITE_P(Paths, ChaosFleetPath,
+                         testing::Values(FleetPath::kInCore,
+                                         FleetPath::kSlabF64),
+                         fleet_path_name);
+
+TEST_P(ChaosFleetPath, ChaosRunIsDeterministicAcrossThreadCounts) {
     ChaosConfig config;
     config.nan_velocity = 0.5;
     config.force_divergence = 0.5;
@@ -256,22 +267,26 @@ TEST(ChaosFleet, ChaosRunIsDeterministicAcrossThreadCounts) {
     four.threads = 4;
 
     FleetRunner a(one);
-    FleetRunner b(four);
     const FleetResult ra = a.run(input, ItscsConfig{});
-    const FleetResult rb = b.run(input, ItscsConfig{});
+    SlabDir slabs;
+    const FleetResult rb = run_fleet_path(GetParam(), four, input,
+                                          slabs.path());
     EXPECT_TRUE(bitwise_equal(ra.aggregate.detection,
                               rb.aggregate.detection));
     EXPECT_TRUE(bitwise_equal(ra.aggregate.reconstructed_x,
                               rb.aggregate.reconstructed_x));
     EXPECT_TRUE(bitwise_equal(ra.aggregate.reconstructed_y,
                               rb.aggregate.reconstructed_y));
-    ASSERT_EQ(ra.shards.size(), rb.shards.size());
+    expect_same_ladder(rb, ra);
+    bool degraded = false;
     for (std::size_t s = 0; s < ra.shards.size(); ++s) {
-        EXPECT_EQ(ra.shards[s].level, rb.shards[s].level);
-        EXPECT_EQ(ra.shards[s].attempts, rb.shards[s].attempts);
         EXPECT_EQ(ra.shards[s].failures.size(),
                   rb.shards[s].failures.size());
+        degraded = degraded || ra.shards[s].level != DegradationLevel::kNominal;
     }
+    // The spec must actually push a shard down the ladder, or the
+    // comparison above checks only the nominal path.
+    EXPECT_TRUE(degraded);
 }
 
 // ---- ChaosConfig spec grammar ------------------------------------------

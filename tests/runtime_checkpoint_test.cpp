@@ -22,6 +22,7 @@
 #include "common/json.hpp"
 #include "corruption/scenario.hpp"
 #include "eval/methods.hpp"
+#include "fleet_path.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/frame_io.hpp"
 #include "runtime/fleet_runner.hpp"
@@ -128,7 +129,19 @@ TEST(RuntimeCheckpointTest, CheckpointedRunMatchesPlainRunBitwise) {
     EXPECT_TRUE(std::filesystem::exists(dir.manifest()));
 }
 
-TEST(RuntimeCheckpointTest, ResumeAfterPartialJournalIsBitIdentical) {
+// The two journal-recovery contracts below hold on both shard-I/O paths:
+// in core (records carry the result rows) and on f64 slabs (records carry
+// the output slab's CRC). Each path is checked against the same in-core
+// uninterrupted run, so the slab instance also pins streamed == in-core.
+class RuntimeCheckpointPathTest : public testing::TestWithParam<FleetPath> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Paths, RuntimeCheckpointPathTest,
+                         testing::Values(FleetPath::kInCore,
+                                         FleetPath::kSlabF64),
+                         fleet_path_name);
+
+TEST_P(RuntimeCheckpointPathTest, ResumeAfterPartialJournalIsBitIdentical) {
     const ItscsInput input = fleet_input();
     FleetRunner plain(runtime_config(1));
     const FleetResult reference = plain.run(input, ItscsConfig{});
@@ -137,16 +150,16 @@ TEST(RuntimeCheckpointTest, ResumeAfterPartialJournalIsBitIdentical) {
     // threads — the restored+recomputed stitching must be thread-blind.
     for (const std::size_t resume_threads : {1u, 2u, 7u}) {
         CheckpointDir dir;
-        {
-            FleetRunner first(runtime_config(2, dir.path()));
-            first.run(input, ItscsConfig{});
-        }
+        SlabDir slabs;
+        run_fleet_path(GetParam(), runtime_config(2, dir.path()), input,
+                       slabs.path());
         drop_frames_after(dir.journal(), 3);
 
         PipelineContext ctx;
-        FleetRunner second(
-            runtime_config(resume_threads, dir.path(), /*resume=*/true));
-        const FleetResult fleet = second.run(input, ItscsConfig{}, &ctx);
+        const FleetResult fleet = run_fleet_path(
+            GetParam(),
+            runtime_config(resume_threads, dir.path(), /*resume=*/true),
+            input, slabs.path(), &ctx);
 
         EXPECT_EQ(fleet.checkpoint.shards_loaded, 3u)
             << "threads=" << resume_threads;
@@ -158,6 +171,7 @@ TEST(RuntimeCheckpointTest, ResumeAfterPartialJournalIsBitIdentical) {
                                   reference.aggregate.reconstructed_x));
         EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_y,
                                   reference.aggregate.reconstructed_y));
+        expect_same_ladder(fleet, reference);
         // Restored shards carry their journaled diagnostics (seed and row
         // range re-validated against the recomputed plan at load time).
         for (const ShardRunReport& report : fleet.shards) {
@@ -196,16 +210,15 @@ TEST(RuntimeCheckpointTest, ResumeWithFullJournalRunsNothing) {
     }
 }
 
-TEST(RuntimeCheckpointTest, BitFlippedFrameIsReportedAndReRun) {
+TEST_P(RuntimeCheckpointPathTest, BitFlippedFrameIsReportedAndReRun) {
     const ItscsInput input = fleet_input();
     FleetRunner plain(runtime_config(1));
     const FleetResult reference = plain.run(input, ItscsConfig{});
 
     CheckpointDir dir;
-    {
-        FleetRunner first(runtime_config(2, dir.path()));
-        first.run(input, ItscsConfig{});
-    }
+    SlabDir slabs;
+    run_fleet_path(GetParam(), runtime_config(2, dir.path()), input,
+                   slabs.path());
     // Flip one byte in the middle of the third frame's *payload* (headers
     // delimit frames; damaging one would tear the tail instead): exactly
     // one frame dies, every other frame stays loadable.
@@ -219,8 +232,9 @@ TEST(RuntimeCheckpointTest, BitFlippedFrameIsReportedAndReRun) {
     flip_byte(dir.journal(), offset);
 
     PipelineContext ctx;
-    FleetRunner second(runtime_config(2, dir.path(), /*resume=*/true));
-    const FleetResult fleet = second.run(input, ItscsConfig{}, &ctx);
+    const FleetResult fleet = run_fleet_path(
+        GetParam(), runtime_config(2, dir.path(), /*resume=*/true), input,
+        slabs.path(), &ctx);
 
     EXPECT_EQ(fleet.checkpoint.corrupt_frames, 1u);
     EXPECT_EQ(fleet.checkpoint.shards_run, 1u);
@@ -236,6 +250,7 @@ TEST(RuntimeCheckpointTest, BitFlippedFrameIsReportedAndReRun) {
                               reference.aggregate.reconstructed_x));
     EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_y,
                               reference.aggregate.reconstructed_y));
+    expect_same_ladder(fleet, reference);
 }
 
 TEST(RuntimeCheckpointTest, TornTailIsRecoveredFrom) {

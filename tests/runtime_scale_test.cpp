@@ -16,12 +16,14 @@
 #include <filesystem>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/context.hpp"
 #include "corruption/scenario.hpp"
 #include "eval/methods.hpp"
+#include "persist/frame_io.hpp"
 #include "persist/slab_store.hpp"
 #include "runtime/fleet_runner.hpp"
 #include "runtime/shard_plan.hpp"
@@ -75,48 +77,14 @@ private:
     std::filesystem::path dir_;
 };
 
-// Pull shard s's three output matrices out of the store.
-struct ShardOutputs {
-    Matrix detection;
-    Matrix rx;
-    Matrix ry;
-};
-
-ShardOutputs read_shard_outputs(const SlabStore& store, std::size_t s) {
-    const std::size_t rows = store.shards()[s].size();
-    const std::size_t slots = store.geometry().slots;
-    ShardOutputs out{Matrix(rows, slots), Matrix(rows, slots),
-                     Matrix(rows, slots)};
-    double* mats[kSlabOutputMatrices] = {out.detection.data().data(),
-                                         out.rx.data().data(),
-                                         out.ry.data().data()};
-    store.read_outputs(s, mats);
-    return out;
-}
-
-// Compare a streamed run's output slabs against an in-core aggregate,
-// row by member row.
+// Compare a streamed run's output slabs, gathered to fleet rows, against
+// an in-core aggregate.
 bool streamed_matches_aggregate(const SlabStore& store,
                                 const ItscsResult& aggregate) {
-    const std::size_t slots = store.geometry().slots;
-    for (std::size_t s = 0; s < store.shards().size(); ++s) {
-        const ShardOutputs out = read_shard_outputs(store, s);
-        const SlabShardInfo& info = store.shards()[s];
-        for (std::size_t k = 0; k < info.size(); ++k) {
-            const std::size_t row =
-                info.rows.empty()
-                    ? static_cast<std::size_t>(info.begin) + k
-                    : info.rows[k];
-            for (std::size_t j = 0; j < slots; ++j) {
-                if (aggregate.detection(row, j) != out.detection(k, j) ||
-                    aggregate.reconstructed_x(row, j) != out.rx(k, j) ||
-                    aggregate.reconstructed_y(row, j) != out.ry(k, j)) {
-                    return false;
-                }
-            }
-        }
-    }
-    return true;
+    const SlabOutputs out = gather_outputs(store);
+    return bitwise_equal(out.detection, aggregate.detection) &&
+           bitwise_equal(out.reconstructed_x, aggregate.reconstructed_x) &&
+           bitwise_equal(out.reconstructed_y, aggregate.reconstructed_y);
 }
 
 // ---- slab store round trips ----------------------------------------------
@@ -189,6 +157,37 @@ TEST(SlabStoreTest, ReopenVerifiesGeometryAndF32HalvesTheFile) {
     EXPECT_EQ(reopened.geometry().tier, StorageTier::kF64);
     EXPECT_EQ(reopened.shards().size(), 7u);
     EXPECT_EQ(reopened.geometry().input_fingerprint, input.fingerprint());
+
+    // A slabs.meta that is CRC-valid but disagrees with itself is refused
+    // on open instead of mapped and read out of bounds: here shard 1 of an
+    // 8-row fleet claims rows [4, 400000).
+    TempDir bad("badmeta");
+    SlabGeometry g;
+    g.participants = 8;
+    g.slots = 4;
+    g.shard_count = 2;
+    g.max_shard_rows = 4;
+    std::vector<SlabShardInfo> halves(2);
+    halves[0].end = 4;
+    halves[1].begin = 4;
+    halves[1].end = 8;
+    SlabStore(bad.path(), g, halves);
+    ByteWriter w;  // slabs.meta v1: geometry, then begin/end/members per shard
+    w.put_u32(1);
+    for (const std::uint64_t v : {8u, 4u, 2u, 4u}) {
+        w.put_u64(v);
+    }
+    w.put_u32(0);
+    w.put_f64(1.0);
+    w.put_u32(0);
+    w.put_u64(0);
+    w.put_u64(0);
+    w.put_u64(2);
+    for (const std::uint64_t v : {0u, 4u, 0u, 4u, 400000u, 0u}) {
+        w.put_u64(v);
+    }
+    rewrite_frames(bad.path() + "/slabs.meta", {w.bytes()});
+    EXPECT_THROW(SlabStore{bad.path()}, Error);
 }
 
 // ---- streamed vs in-core bit-identity ------------------------------------
@@ -394,6 +393,13 @@ TEST(ShardPlanCellTest, CellPlannedFleetMatchesRowPlannedNumerics) {
                               again.aggregate.detection));
     EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_x,
                               again.aggregate.reconstructed_x));
+
+    // Streamed through f64 slabs, the cell plan's non-contiguous member
+    // rows gather back to the rows the in-core run wrote.
+    TempDir dir("cell_stream");
+    auto store = runner.create_slab_store(dir.path(), input);
+    runner.run_streamed(*store, ItscsConfig{});
+    EXPECT_TRUE(streamed_matches_aggregate(*store, fleet.aggregate));
 }
 
 // ---- float32 storage at the fast tier -------------------------------------
@@ -428,18 +434,11 @@ StreamedFleet streamed_fleet(StorageTier storage, std::size_t threads) {
     auto store = runner.create_slab_store(dir.path(), input);
     runner.run_streamed(*store, ItscsConfig{});
 
-    StreamedFleet out{Matrix(kParticipants, kSlots),
-                      Matrix(kParticipants, kSlots), {}};
+    SlabOutputs outputs = gather_outputs(*store);
+    StreamedFleet out{std::move(outputs.reconstructed_x),
+                      std::move(outputs.reconstructed_y), {}};
     for (std::size_t s = 0; s < store->shards().size(); ++s) {
         out.crcs.push_back(store->output_crc(s));
-        const ShardOutputs shard = read_shard_outputs(*store, s);
-        const std::size_t begin = store->shards()[s].begin;
-        for (std::size_t k = 0; k < store->shards()[s].size(); ++k) {
-            for (std::size_t j = 0; j < kSlots; ++j) {
-                out.rx(begin + k, j) = shard.rx(k, j);
-                out.ry(begin + k, j) = shard.ry(k, j);
-            }
-        }
     }
     return out;
 }

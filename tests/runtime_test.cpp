@@ -131,7 +131,8 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
 
 TEST(ThreadPool, NestedParallelForIsRejected) {
     ThreadPool pool(2);
-    bool nested_threw = false;
+    // Both blocks may throw at once, each on its own worker.
+    std::atomic<bool> nested_threw{false};
     pool.parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
         try {
             pool.parallel_for(0, 2, 1, [](std::size_t, std::size_t) {});
@@ -139,7 +140,7 @@ TEST(ThreadPool, NestedParallelForIsRejected) {
             nested_threw = true;  // one block is enough to prove it
         }
     });
-    EXPECT_TRUE(nested_threw);
+    EXPECT_TRUE(nested_threw.load());
 }
 
 TEST(ThreadPool, ShutdownRunsAllQueuedWork) {

@@ -673,30 +673,12 @@ int cmd_clean(const Args& args) {
             // The CLI's CSV/metrics outputs are fleet-shaped, so
             // materialise the aggregate from the output slabs here — the
             // scale harness, not the CLI, is the keep-it-on-disk path.
-            fleet.aggregate.detection = mcs::Matrix(n, t);
-            fleet.aggregate.reconstructed_x = mcs::Matrix(n, t);
-            fleet.aggregate.reconstructed_y = mcs::Matrix(n, t);
-            const auto& infos = store->shards();
-            for (std::size_t s = 0; s < infos.size(); ++s) {
-                const std::size_t rows = infos[s].size();
-                mcs::Matrix det(rows, t);
-                mcs::Matrix rx(rows, t);
-                mcs::Matrix ry(rows, t);
-                double* mats[mcs::kSlabOutputMatrices] = {
-                    det.data().data(), rx.data().data(), ry.data().data()};
-                store->read_outputs(s, mats);
-                for (std::size_t k = 0; k < rows; ++k) {
-                    const std::size_t row =
-                        infos[s].rows.empty()
-                            ? static_cast<std::size_t>(infos[s].begin) + k
-                            : infos[s].rows[k];
-                    for (std::size_t j = 0; j < t; ++j) {
-                        fleet.aggregate.detection(row, j) = det(k, j);
-                        fleet.aggregate.reconstructed_x(row, j) = rx(k, j);
-                        fleet.aggregate.reconstructed_y(row, j) = ry(k, j);
-                    }
-                }
-            }
+            mcs::SlabOutputs outputs = mcs::gather_outputs(*store);
+            fleet.aggregate.detection = std::move(outputs.detection);
+            fleet.aggregate.reconstructed_x =
+                std::move(outputs.reconstructed_x);
+            fleet.aggregate.reconstructed_y =
+                std::move(outputs.reconstructed_y);
         } else {
             fleet = runner.run(input, config, want_stats ? &ctx : nullptr);
         }

@@ -6,7 +6,9 @@
 #                            tests with -fsanitize=thread (MCS_SANITIZE,
 #                            see the `tsan` CMake preset) and run
 #                            runtime_test + runtime_chaos_test +
-#                            core_streaming_test under TSan
+#                            runtime_checkpoint_test + runtime_scale_test
+#                            + core_streaming_test under TSan — the shard
+#                            loop through both its in-core and slab I/O
 #   tools/verify.sh asan     memory job: same runtime-facing tests plus
 #                            core_itscs_test with -fsanitize=address
 #                            (the `asan` CMake preset)
@@ -72,8 +74,9 @@ tsan() {
     # Only the targets the tsan test preset runs; a full instrumented
     # build costs minutes and adds no coverage.
     cmake --build --preset tsan -j "$(nproc)" \
-        --target runtime_test runtime_chaos_test core_streaming_test
-    echo "== tsan: runtime_test + runtime_chaos_test + core_streaming_test =="
+        --target runtime_test runtime_chaos_test runtime_checkpoint_test \
+        runtime_scale_test core_streaming_test
+    echo "== tsan: runtime + chaos + checkpoint + scale + streaming tests =="
     ctest --preset tsan
 }
 
@@ -81,9 +84,9 @@ asan() {
     echo "== asan: build (MCS_SANITIZE=address) =="
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)" \
-        --target runtime_test runtime_chaos_test core_streaming_test \
-        core_itscs_test
-    echo "== asan: runtime + chaos + streaming + itscs tests =="
+        --target runtime_test runtime_chaos_test runtime_checkpoint_test \
+        runtime_scale_test core_streaming_test core_itscs_test
+    echo "== asan: runtime + chaos + checkpoint + scale + streaming + itscs tests =="
     ctest --preset asan
 }
 
