@@ -26,21 +26,6 @@ KernelTier parse_kernel_tier(const std::string& name) {
                 "' (expected exact | fast)");
 }
 
-const char* to_string(SolverKind kind) {
-    return kind == SolverKind::kLrsd ? "lrsd" : "asd";
-}
-
-SolverKind parse_solver_kind(const std::string& name) {
-    if (name == "asd") {
-        return SolverKind::kAsd;
-    }
-    if (name == "lrsd") {
-        return SolverKind::kLrsd;
-    }
-    throw Error("unknown solver backend '" + name +
-                "' (expected asd | lrsd)");
-}
-
 PipelineContext::PipelineContext(std::uint64_t seed) : rng_(seed) {}
 
 std::size_t PipelineContext::stat_index(const std::string& name) {
@@ -90,9 +75,6 @@ void PipelineContext::merge(const PipelineContext& other) {
     if (other.kernel_tier_ != KernelTier::kExact) {
         kernel_tier_ = other.kernel_tier_;
     }
-    if (other.solver_ != SolverKind::kAsd) {
-        solver_ = other.solver_;
-    }
 #ifndef NDEBUG
     owner_ = std::thread::id{};  // ownership hand-off point
 #endif
@@ -112,10 +94,6 @@ void PipelineContext::absorb(const PipelineCounters& counters,
     counters_.svd_sweeps += counters.svd_sweeps;
     counters_.asd_iterations += counters.asd_iterations;
     counters_.cs_solves += counters.cs_solves;
-    counters_.solves_asd += counters.solves_asd;
-    counters_.solves_lrsd += counters.solves_lrsd;
-    counters_.lrsd_rounds += counters.lrsd_rounds;
-    counters_.sparse_fault_cells += counters.sparse_fault_cells;
     counters_.itscs_iterations += counters.itscs_iterations;
     counters_.detect_passes += counters.detect_passes;
     counters_.check_passes += counters.check_passes;
@@ -165,10 +143,6 @@ Json PipelineContext::to_json() const {
     counters["svd_sweeps"] = counters_.svd_sweeps;
     counters["asd_iterations"] = counters_.asd_iterations;
     counters["cs_solves"] = counters_.cs_solves;
-    counters["solves_asd"] = counters_.solves_asd;
-    counters["solves_lrsd"] = counters_.solves_lrsd;
-    counters["lrsd_rounds"] = counters_.lrsd_rounds;
-    counters["sparse_fault_cells"] = counters_.sparse_fault_cells;
     counters["itscs_iterations"] = counters_.itscs_iterations;
     counters["detect_passes"] = counters_.detect_passes;
     counters["check_passes"] = counters_.check_passes;
@@ -198,7 +172,6 @@ Json PipelineContext::to_json() const {
 
     Json out = Json::object();
     out["kernel_tier"] = std::string(to_string(kernel_tier_));
-    out["solver_backend"] = std::string(to_string(solver_));
     out["counters"] = counters;
     out["phases"] = phases;
     return out;

@@ -299,9 +299,18 @@ private:
         const char c = peek();
         switch (c) {
             case '{':
-                return parse_object();
-            case '[':
-                return parse_array();
+            case '[': {
+                // Each nesting level is a native stack frame: refuse depth
+                // beyond the documented cap instead of overflowing.
+                if (depth_ == Json::kMaxParseDepth) {
+                    fail("nesting deeper than " +
+                         std::to_string(Json::kMaxParseDepth) + " levels");
+                }
+                ++depth_;
+                Json value = c == '{' ? parse_object() : parse_array();
+                --depth_;
+                return value;
+            }
             case '"':
                 return Json(parse_string());
             case 't':
@@ -482,6 +491,7 @@ private:
 
     const std::string& text_;
     std::size_t position_ = 0;
+    std::size_t depth_ = 0;  // open arrays/objects around position_
 };
 
 }  // namespace

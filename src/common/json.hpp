@@ -74,8 +74,11 @@ public:
     std::string dump(int indent = 0) const;
 
     /// Parse a complete JSON document; throws mcs::Error with position
-    /// information on malformed input or trailing garbage.
+    /// information on malformed input, trailing garbage, or arrays/objects
+    /// nested deeper than kMaxParseDepth (the parser recurses once per
+    /// level, so an unbounded depth would overflow the stack).
     static Json parse(const std::string& text);
+    static constexpr std::size_t kMaxParseDepth = 512;
 
     bool operator==(const Json& other) const;
 

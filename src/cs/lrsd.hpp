@@ -13,10 +13,11 @@
 // Unlike I(TS,CS) there is no time-series detector, no velocity term, and
 // no CHECK hysteresis.
 //
-// The alternating loop itself now lives in the LrsdBackend of
-// cs/solver_backend.hpp (where it also serves as a first-class CORRECT
-// backend inside I(TS,CS)); this header keeps the standalone baseline API
-// used by eval/methods and the comparison experiments.
+// Each round is one cs_reconstruct() in TemporalMode::kNone with a zero
+// velocity matrix; from round 2 the previous round's factors are the warm
+// start, so only round 1 pays the nearest-fill SVD. I(TS,CS) itself does
+// not use this loop: it is the baseline behind Method::kLrsd (eval/methods)
+// and the ext_baselines comparison.
 #pragma once
 
 #include "cs/reconstruct.hpp"
@@ -56,8 +57,9 @@ struct LrsdResult {
 /// Run the alternating decomposition on one axis. `s` is the sensory
 /// matrix (0 where missing), `existence` the 0/1 observation mask. Throws
 /// mcs::Error on shape mismatches, invalid thresholds, or a non-kNone
-/// completion mode. A non-null `ctx` receives the "cs_reconstruct" phase
-/// time, a solves_lrsd tick, and per-round lrsd_rounds counts.
+/// completion mode. A non-null `ctx` receives what each round's
+/// cs_reconstruct() records: one "cs_reconstruct" phase call and one
+/// cs_solves tick per round.
 LrsdResult lrsd_decompose(const Matrix& s, const Matrix& existence,
                           double tau_s, const LrsdConfig& config = {},
                           PipelineContext* ctx = nullptr);

@@ -59,7 +59,10 @@ class Json;
 /// resume refuses a changed planner, storage tier or slab layout.
 /// v5: the mixed kernel tier and its two verification-gate counters are
 /// gone from PipelineCounters; a v4 record is refused, not resumed.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// v6: the four per-backend solver counters are gone from
+/// PipelineCounters and solver_backend from the manifest (one solver is
+/// left); a v5 journal is refused, not resumed.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// One journal record: everything FleetRunner needs to stitch a completed
 /// shard into the fleet result without re-running it.
@@ -118,13 +121,6 @@ struct CheckpointManifest {
     /// runtime_fingerprint; stored explicitly so a tier mix-up refuses
     /// with a message naming the tier rather than a bare hash mismatch.
     KernelTier kernel_tier = KernelTier::kExact;
-    /// The recovery-solver backend the run executed under. Folded into
-    /// config_fingerprint (via CsConfig::solver) but stored explicitly,
-    /// like kernel_tier, so a resume across backends refuses with a
-    /// message naming both backends — resuming an ASD journal under LRSD
-    /// (or vice versa) would stitch shards solved by different algorithms
-    /// into one result.
-    SolverKind solver = SolverKind::kAsd;
     /// Planner mode behind the plan ("rows" / "cell") and the plan's
     /// member-level fingerprint (ShardPlan::fingerprint()) — begin/end
     /// ranges alone cannot identify a by_cell decomposition.

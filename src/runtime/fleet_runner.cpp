@@ -747,20 +747,10 @@ FleetResult FleetRunner::run_in_core(const ItscsInput& input,
 
 FleetResult FleetRunner::run_shards(const std::vector<Shard>& shards,
                                     std::size_t t, ShardIo& io,
-                                    const ItscsConfig& base_config,
+                                    const ItscsConfig& config,
                                     const CheckpointManifest* journal,
                                     WarmStartState* warm,
                                     PipelineContext* ctx) {
-    // Resolve the effective solver backend: the RuntimeConfig knob applies
-    // when the core config keeps the default, so the backend can be chosen
-    // on either side (CLI --solver sets the runtime knob; programmatic
-    // callers may set cs.solver directly). Everything below — shards,
-    // ladder, manifest fingerprints — sees the effective config only.
-    ItscsConfig config = base_config;
-    if (config_.solver != SolverKind::kAsd &&
-        config.cs.solver == SolverKind::kAsd) {
-        config.cs.solver = config_.solver;
-    }
     const std::size_t count = shards.size();
 
     if (warm != nullptr) {
@@ -787,11 +777,9 @@ FleetResult FleetRunner::run_shards(const std::vector<Shard>& shards,
     for (std::size_t s = 0; s < count; ++s) {
         seeds[s] = root.next_u64();
         contexts.emplace_back(seeds[s]);
-        // Stamp the configured tier and backend up front so even shards
-        // that never run (restored from a checkpoint) report what the run
-        // used.
+        // Stamp the configured tier up front so even shards that never
+        // run (restored from a checkpoint) report what the run used.
         contexts.back().set_kernel_tier(config_.kernel_tier);
-        contexts.back().set_solver_backend(config.cs.solver);
     }
 
     FleetResult out;
@@ -811,7 +799,6 @@ FleetResult FleetRunner::run_shards(const std::vector<Shard>& shards,
         manifest.config_fingerprint = config_fingerprint(config);
         manifest.runtime_fingerprint = runtime_fingerprint(config_);
         manifest.kernel_tier = config_.kernel_tier;
-        manifest.solver = config.cs.solver;
         for (const Shard& shard : shards) {
             manifest.shards.emplace_back(shard.begin, shard.end);
             manifest.shard_members.push_back(shard.members_fingerprint());

@@ -97,15 +97,7 @@ struct RuntimeConfig {
     /// the checkpoint handshake: a --resume never mixes tiers.
     KernelTier kernel_tier = KernelTier::kExact;
 
-    /// Recovery-solver backend for every shard (CLI: --solver). Applied to
-    /// the ItscsConfig when the latter keeps the default backend, so the
-    /// knob can be set on either side. Part of the numerics and therefore
-    /// covered by the checkpoint handshake (an explicit manifest field,
-    /// like kernel_tier): a --resume never mixes backends. The health
-    /// guards, degradation ladder and chaos seams apply to any backend —
-    /// a failed LRSD shard walks the same conservative → interpolation →
-    /// detect-only rungs (the conservative rung's rank/λ₁/iteration
-    /// overrides bind to whichever backend is active).
+    /// Vestigial and read by nothing; itscs_bench/src/batch_fleet.cpp sets it.
     SolverKind solver = SolverKind::kAsd;
 
     /// Element representation of the out-of-core slab store
@@ -354,7 +346,7 @@ private:
     /// results; `t` is the slot count; `journal` holds the manifest fields
     /// only the caller knows (null = no checkpoint); `warm` as in run().
     FleetResult run_shards(const std::vector<Shard>& shards, std::size_t t,
-                           ShardIo& io, const ItscsConfig& base_config,
+                           ShardIo& io, const ItscsConfig& config,
                            const CheckpointManifest* journal,
                            WarmStartState* warm, PipelineContext* ctx);
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -127,6 +128,31 @@ TEST(Json, ParseRejectsMalformedInput) {
     EXPECT_THROW(Json::parse("1 2"), Error);
     EXPECT_THROW(Json::parse("nul"), Error);
     EXPECT_THROW(Json::parse("1.2.3"), Error);
+}
+
+TEST(Json, ParseRefusesNestingBeyondTheCap) {
+    // A million unclosed '[' once overflowed the parser's stack. It must
+    // stop at the depth cap with an mcs::Error naming the offset.
+    try {
+        Json::parse(std::string(1000000, '['));
+        ADD_FAILURE() << "a 1,000,000-deep document parsed";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("nesting deeper than 512 levels at offset 512"),
+                  std::string::npos)
+            << what;
+    }
+    std::string objects;
+    for (int level = 0; level < 1000000; ++level) {
+        objects += "{\"a\":";
+    }
+    EXPECT_THROW(Json::parse(objects), Error);
+
+    // Exactly kMaxParseDepth levels still parse; one more does not.
+    const std::size_t cap = Json::kMaxParseDepth;
+    const std::string at_cap = std::string(cap, '[') + std::string(cap, ']');
+    EXPECT_EQ(Json::parse(at_cap).dump(), at_cap);
+    EXPECT_THROW(Json::parse("[" + at_cap + "]"), Error);
 }
 
 TEST(Json, RoundTripProperty) {

@@ -10,7 +10,7 @@
 #include "common/rng.hpp"
 #include "corruption/scenario.hpp"
 #include "cs/init.hpp"
-#include "cs/solver_backend.hpp"
+#include "cs/reconstruct.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/kernel_tier.hpp"
 #include "linalg/kernels.hpp"
@@ -301,7 +301,7 @@ TemporalProblem make_temporal(std::size_t n, std::size_t t,
 }
 
 // One paper-scale shard (158 x 240, default CsConfig, row-centred like
-// solve_centered_completion) — the shape batch_fleet solves.
+// cs_reconstruct) — the shape batch_fleet solves.
 TemporalProblem make_paper_scale_shard() {
     const TraceDataset truth = make_paper_scale_dataset(1);
     CorruptionConfig corruption;

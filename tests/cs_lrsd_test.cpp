@@ -42,9 +42,14 @@ TEST(Lrsd, RecoversSparseOutliersOnLowRankData) {
     // Row centering adds one rank to the centered matrix; disable it so
     // the rank-3 completion of this exactly-rank-3 fixture is exact.
     config.completion.center_rows = false;
-    const LrsdResult result = lrsd_decompose(s, existence, 30.0, config);
+    PipelineContext ctx;
+    const LrsdResult result =
+        lrsd_decompose(s, existence, 30.0, config, &ctx);
     EXPECT_TRUE(result.outliers == expected);
     EXPECT_TRUE(result.converged);
+    EXPECT_GE(result.iterations, 2u);
+    // Every complete-and-reclassify round is one cs_reconstruct solve.
+    EXPECT_EQ(ctx.counters().cs_solves, result.iterations);
 }
 
 TEST(Lrsd, HandlesMissingValues) {
@@ -64,6 +69,30 @@ TEST(Lrsd, HandlesMissingValues) {
         }
     }
     EXPECT_GE(result.iterations, 2u);
+}
+
+TEST(Lrsd, ReusesFactorsAcrossRounds) {
+    // Round 1 pays the nearest-fill SVD; later rounds warm-start from the
+    // previous round's factors. The "warm_start" phase therefore runs
+    // exactly once however many complete-and-reclassify rounds execute.
+    const TraceDataset truth = make_small_dataset(5, 24, 80);
+    CorruptionConfig corruption;
+    corruption.missing_ratio = 0.2;
+    corruption.fault_ratio = 0.1;
+    corruption.seed = 6;
+    const CorruptedDataset data = corrupt(truth, corruption);
+    PipelineContext ctx;
+    const LrsdResult result = lrsd_decompose(
+        data.sx, data.existence, data.tau_s, LrsdConfig{}, &ctx);
+    ASSERT_GE(result.iterations, 2u);
+
+    std::size_t warm_start_calls = 0;
+    for (const PhaseStat& phase : ctx.phase_stats()) {
+        if (phase.name == "warm_start") {
+            warm_start_calls = phase.calls;
+        }
+    }
+    EXPECT_EQ(warm_start_calls, 1u);
 }
 
 TEST(Lrsd, DetectsMostInjectedFaults) {
@@ -111,8 +140,30 @@ TEST(Lrsd, Validation) {
     config = LrsdConfig{};
     config.max_iterations = 0;
     EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    config = LrsdConfig{};
+    config.initial_threshold_m = 100.0;  // below the final threshold
+    EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    config = LrsdConfig{};
+    config.threshold_decay = 0.0;
+    EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
     EXPECT_THROW(lrsd_decompose(s, Matrix(3, 10), 30.0, LrsdConfig{}),
                  Error);
+    Matrix not_binary = existence;
+    not_binary(1, 1) = 0.5;
+    EXPECT_THROW(lrsd_decompose(s, not_binary, 30.0, LrsdConfig{}), Error);
+}
+
+TEST(Lrsd, RejectsTemporalCompletion) {
+    // The LS-decomposition model of [18] has no temporal term; a caller's
+    // temporal completion.mode is a reported contract violation, not
+    // silently overwritten.
+    const Matrix s(8, 20);
+    const Matrix existence = Matrix::constant(8, 20, 1.0);
+    LrsdConfig config;
+    config.completion.mode = TemporalMode::kVelocity;
+    EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
+    config.completion.mode = TemporalMode::kTemporalOnly;
+    EXPECT_THROW(lrsd_decompose(s, existence, 30.0, config), Error);
 }
 
 TEST(Lrsd, MethodRegistryIntegration) {

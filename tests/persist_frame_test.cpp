@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -411,6 +412,26 @@ std::vector<std::uint8_t> v4_record() {
     return payload;
 }
 
+// A record as format v5 wrote it: stamped 5, with the four retired
+// per-backend solver counters after cs_solves.
+std::vector<std::uint8_t> v5_record() {
+    ShardCheckpoint rec = sample_record();
+    const std::uint64_t marker = 0x0123456789ABCDEFull;
+    rec.counters.cs_solves = marker;
+    std::vector<std::uint8_t> payload = encode_shard_checkpoint(rec);
+    ByteWriter field;
+    field.put_u64(marker);
+    const auto at = std::search(payload.begin(), payload.end(),
+                                field.bytes().begin(), field.bytes().end());
+    EXPECT_NE(at, payload.end());
+    payload.insert(at + 8, 32, std::uint8_t{7});
+    ByteWriter version;
+    version.put_u32(5);
+    std::copy(version.bytes().begin(), version.bytes().end(),
+              payload.begin());
+    return payload;
+}
+
 TEST(ShardCheckpointTest, WrongVersionIsRejected) {
     std::vector<std::uint8_t> flipped =
         encode_shard_checkpoint(sample_record());
@@ -418,16 +439,19 @@ TEST(ShardCheckpointTest, WrongVersionIsRejected) {
     EXPECT_THROW(decode_shard_checkpoint({flipped.data(), flipped.size()}),
                  Error);
 
-    // A journal left by the previous format is refused, not resumed.
-    const std::vector<std::uint8_t> old = v4_record();
-    try {
-        decode_shard_checkpoint({old.data(), old.size()});
-        ADD_FAILURE() << "a v4 record decoded under v"
-                      << kCheckpointVersion;
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("version 4"),
-                  std::string::npos)
-            << e.what();
+    // Journals left by earlier formats are refused, not resumed.
+    for (const auto& [stamp, old] :
+         {std::pair{4, v4_record()}, std::pair{5, v5_record()}}) {
+        try {
+            decode_shard_checkpoint({old.data(), old.size()});
+            ADD_FAILURE() << "a v" << stamp << " record decoded under v"
+                          << kCheckpointVersion;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "version " + std::to_string(stamp)),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -339,23 +339,52 @@ TEST(RuntimeCheckpointTest, MismatchedKernelTierRefusesToResume) {
     }
 }
 
-TEST(RuntimeCheckpointTest, MismatchedSolverBackendRefusesToResume) {
+TEST(RuntimeCheckpointTest, MismatchedSolveConfigRefusesToResume) {
     const ItscsInput input = fleet_input();
     CheckpointDir dir;
     {
-        FleetRunner first(runtime_config(2, dir.path()));  // ASD default
+        FleetRunner first(runtime_config(2, dir.path()));
         first.run(input, ItscsConfig{});
     }
-    // Shards solved by different backends must never be stitched into one
-    // result; the refusal names both backends, not just a hash.
-    RuntimeConfig changed = runtime_config(2, dir.path(), /*resume=*/true);
-    changed.solver = SolverKind::kLrsd;
-    FleetRunner second(changed);
+    // Shards solved under different Eq. (23) weights must never be
+    // stitched into one result; the refusal names the config fingerprint.
+    ItscsConfig changed;
+    changed.cs.lambda1 *= 10.0;
+    FleetRunner second(runtime_config(2, dir.path(), /*resume=*/true));
+    try {
+        second.run(input, changed);
+        FAIL() << "expected the config mismatch to throw";
+    } catch (const Error& error) {
+        EXPECT_NE(std::string(error.what()).find("config_fingerprint"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(RuntimeCheckpointTest, OlderManifestVersionRefusesNamingBoth) {
+    // A checkpoint directory left by an older format is refused with both
+    // versions named, not resumed and not a crash.
+    const ItscsInput input = fleet_input();
+    CheckpointDir dir;
+    {
+        FleetRunner first(runtime_config(2, dir.path()));
+        first.run(input, ItscsConfig{});
+    }
+    const std::string manifest = dir.path() + "/manifest.json";
+    Json stored = read_json_file(manifest);
+    stored["version"] = static_cast<double>(kCheckpointVersion - 1);
+    write_json_file(manifest, stored);
+
+    FleetRunner second(runtime_config(2, dir.path(), /*resume=*/true));
     try {
         second.run(input, ItscsConfig{});
-        FAIL() << "expected the solver mismatch to throw";
+        FAIL() << "expected the version mismatch to throw";
     } catch (const Error& error) {
-        EXPECT_NE(std::string(error.what()).find("solver backend"),
+        const std::string expected =
+            "version differs (stored " +
+            std::to_string(kCheckpointVersion - 1) + ", this run " +
+            std::to_string(kCheckpointVersion) + ")";
+        EXPECT_NE(std::string(error.what()).find(expected),
                   std::string::npos)
             << error.what();
     }
@@ -395,41 +424,6 @@ TEST(RuntimeCheckpointTest, MismatchedDefenseSpecRefusesToResume) {
     FleetRunner third(same);
     const FleetResult resumed = third.run(input, ItscsConfig{});
     EXPECT_EQ(resumed.checkpoint.shards_loaded, resumed.shards.size());
-}
-
-TEST(RuntimeCheckpointTest, LrsdResumeIsBitIdentical) {
-    // The checkpoint layer is backend-agnostic: an interrupted LRSD run
-    // resumes to the same bits as an uninterrupted one.
-    const ItscsInput input = fleet_input();
-
-    RuntimeConfig plain_config = runtime_config(2);
-    plain_config.solver = SolverKind::kLrsd;
-    FleetRunner plain(plain_config);
-    const FleetResult reference = plain.run(input, ItscsConfig{});
-
-    CheckpointDir dir;
-    RuntimeConfig ck_config = runtime_config(2, dir.path());
-    ck_config.solver = SolverKind::kLrsd;
-    {
-        FleetRunner first(ck_config);
-        first.run(input, ItscsConfig{});
-    }
-    drop_frames_after(dir.journal(), 3);
-
-    ck_config.resume = true;
-    FleetRunner resumed_runner(ck_config);
-    PipelineContext ctx;
-    const FleetResult resumed =
-        resumed_runner.run(input, ItscsConfig{}, &ctx);
-    EXPECT_EQ(resumed.checkpoint.shards_loaded, 3u);
-    EXPECT_EQ(resumed.checkpoint.shards_run, resumed.shards.size() - 3u);
-    EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);
-    EXPECT_TRUE(bitwise_equal(resumed.aggregate.detection,
-                              reference.aggregate.detection));
-    EXPECT_TRUE(bitwise_equal(resumed.aggregate.reconstructed_x,
-                              reference.aggregate.reconstructed_x));
-    EXPECT_TRUE(bitwise_equal(resumed.aggregate.reconstructed_y,
-                              reference.aggregate.reconstructed_y));
 }
 
 TEST(RuntimeCheckpointTest, FastTierResumeIsBitIdentical) {

@@ -489,61 +489,6 @@ TEST(FleetRunner, FastTierDeterministicAcrossThreadCounts) {
     EXPECT_EQ(active_kernel_tier(), KernelTier::kExact);
 }
 
-TEST(FleetRunner, LrsdBackendDeterministicAcrossThreadCounts) {
-    // The solver seam rides the same shard-order merge as everything else:
-    // a fixed RuntimeConfig (minus threads) under the LRSD backend gives
-    // one bit pattern at any worker count, and the merged context carries
-    // the backend stamp and its per-backend counters.
-    const ItscsInput input = fleet_input(35, 50);
-    const ItscsConfig framework;
-
-    std::unique_ptr<FleetResult> reference;
-    for (const std::size_t threads : {1u, 2u, 7u}) {
-        RuntimeConfig config;
-        config.threads = threads;
-        config.shard_size = 10;
-        config.solver = SolverKind::kLrsd;
-        FleetRunner runner(config);
-        PipelineContext ctx(99);
-        FleetResult fleet = runner.run(input, framework, &ctx);
-        EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);
-        EXPECT_GT(ctx.counters().solves_lrsd, 0u);
-        EXPECT_EQ(ctx.counters().solves_asd, 0u);
-        EXPECT_GT(ctx.counters().lrsd_rounds, 0u);
-        if (reference == nullptr) {
-            reference = std::make_unique<FleetResult>(std::move(fleet));
-            continue;
-        }
-        EXPECT_TRUE(bitwise_equal(fleet.aggregate.detection,
-                                  reference->aggregate.detection))
-            << "threads=" << threads;
-        EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_x,
-                                  reference->aggregate.reconstructed_x))
-            << "threads=" << threads;
-        EXPECT_TRUE(bitwise_equal(fleet.aggregate.reconstructed_y,
-                                  reference->aggregate.reconstructed_y))
-            << "threads=" << threads;
-    }
-}
-
-TEST(FleetRunner, RuntimeSolverYieldsToExplicitFrameworkChoice) {
-    // The runtime knob is a default, not an override: when the ItscsConfig
-    // already names a non-default backend, FleetRunner leaves it alone.
-    const ItscsInput input = fleet_input(24, 40);
-    ItscsConfig framework;
-    framework.cs.solver = SolverKind::kLrsd;
-
-    RuntimeConfig config;
-    config.threads = 2;
-    config.shard_count = 2;
-    config.solver = SolverKind::kAsd;  // the default — must not demote
-    FleetRunner runner(config);
-    PipelineContext ctx;
-    runner.run(input, framework, &ctx);
-    EXPECT_EQ(ctx.solver_backend(), SolverKind::kLrsd);
-    EXPECT_GT(ctx.counters().solves_lrsd, 0u);
-}
-
 TEST(FleetRunner, RunnerIsReusableAndClearsArenas) {
     const ItscsInput input = fleet_input(24, 40);
     RuntimeConfig config;

@@ -15,8 +15,7 @@
 //       cells for later scoring.
 //
 //   itscs clean    --in corrupted.csv --participants N --slots T
-//                  [--variant full|no-v|no-vt] [--solver asd|lrsd]
-//                  [--estimate-velocity]
+//                  [--variant full|no-v|no-vt] [--estimate-velocity]
 //                  [--threads N] [--shard-size K] [--shard-count C]
 //                  [--kernel-threads M] [--tier exact|fast]
 //                  [--row-block-threshold K]
@@ -67,7 +66,7 @@
 //       was corrupt.
 //
 //   itscs serve    --in corrupted.csv --participants N --slots T
-//                  [--window W] [--stride K] [--variant V] [--solver B]
+//                  [--window W] [--stride K] [--variant V]
 //                  [--threads N] [--shard-size K] [--shard-count C]
 //                  [--tier exact|fast] [--chaos=SPEC]
 //                  [--journal FILE] [--resume] [--no-warm-start]
@@ -88,7 +87,7 @@
 //       structured FailureReports, not crashes.
 //
 //   itscs demo     [--alpha A] [--beta B] [--seed S] [--json]
-//                  [--stats-json] [--solver asd|lrsd]
+//                  [--stats-json] [--tier exact|fast]
 //       End-to-end in-memory pipeline with ground-truth scoring.
 //       --stats-json prints (or, with --json, merges as a "stats" member)
 //       the instrumentation counters of the run.
@@ -96,12 +95,6 @@
 //   itscs help     (also --help / -h)
 //       Enumerate every subcommand's --key=value flags. Unknown keys on
 //       any subcommand error out naming the nearest valid flag.
-//
-//       --solver picks the CORRECT-step recovery backend (DESIGN.md §14):
-//       asd (the paper's Eq. 23 objective, the default) or lrsd (the
-//       LS-decomposition of [18], whose sparse component feeds Check()
-//       directly). Recorded in checkpoint manifests like the kernel tier,
-//       so a --resume never mixes backends.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime failures,
 // 3 when --strict finds degraded shards or corrupt checkpoint frames.
@@ -258,7 +251,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"slots", "T", "time slots (columns)"},
         {"variant", "V", "full | no-v | no-vt (default full)"},
         {"estimate-velocity", "", "derive velocities from positions"},
-        {"solver", "B", "recovery backend: asd | lrsd (default asd)"},
         {"threads", "N", "shard worker threads (FleetRunner)"},
         {"shard-size", "K", "participants per shard"},
         {"shard-count", "C", "shard count (when no --shard-size)"},
@@ -289,7 +281,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"window", "W", "slots per evaluation window (default 60)"},
         {"stride", "K", "slots between evaluations (default 20)"},
         {"variant", "V", "full | no-v | no-vt (default full)"},
-        {"solver", "B", "recovery backend: asd | lrsd (default asd)"},
         {"threads", "N", "shard worker threads (FleetRunner)"},
         {"shard-size", "K", "participants per shard"},
         {"shard-count", "C", "shard count (when no --shard-size)"},
@@ -310,7 +301,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"alpha", "A", "missing ratio (default 0.2)"},
         {"beta", "B", "fault ratio (default 0.2)"},
         {"seed", "S", "dataset seed (default 1)"},
-        {"solver", "B", "recovery backend: asd | lrsd (default asd)"},
         {"tier", "T", "kernel tier: exact | fast (default exact)"},
         {"json", "", "JSON report instead of prose"},
         {"stats-json", "", "include instrumentation counters"},
@@ -546,9 +536,6 @@ int cmd_clean(const Args& args) {
     }
     mcs::ItscsConfig config =
         mcs::make_config(parse_variant(args.get_or("variant", "full")));
-    const mcs::SolverKind solver =
-        mcs::parse_solver_kind(args.get_or("solver", "asd"));
-    config.cs.solver = solver;
     mcs::PipelineContext ctx;
     const bool want_stats = args.has("stats-json");
 
@@ -630,7 +617,6 @@ int cmd_clean(const Args& args) {
         runtime.planner = planner;
         runtime.kernel_threads = kernel_threads;
         runtime.kernel_tier = tier;
-        runtime.solver = solver;
         runtime.storage = storage;
         runtime.memory_budget_mb = memory_budget;
         runtime.kernel_row_block_threshold = row_block_threshold;
@@ -718,7 +704,6 @@ int cmd_clean(const Args& args) {
         report["participants"] = n;
         report["slots"] = t;
         report["variant"] = args.get_or("variant", "full");
-        report["solver"] = std::string(mcs::to_string(solver));
         report["iterations"] = result.iterations;
         report["converged"] = result.converged;
         report["flagged_readings"] = flagged;
@@ -768,7 +753,6 @@ int cmd_clean(const Args& args) {
             runtime["threads"] = threads;
             runtime["kernel_threads"] = kernel_threads;
             runtime["kernel_tier"] = std::string(mcs::to_string(tier));
-            runtime["solver"] = std::string(mcs::to_string(solver));
             runtime["row_block_threshold"] =
                 mcs::kernel_row_block_threshold();
             // The *resolved* decomposition, so a report from a run that
@@ -928,9 +912,6 @@ int cmd_serve(const Args& args) {
     serve.stride = args.has("stride") ? args.count("stride") : 20;
     serve.framework =
         mcs::make_config(parse_variant(args.get_or("variant", "full")));
-    const mcs::SolverKind solver =
-        mcs::parse_solver_kind(args.get_or("solver", "asd"));
-    serve.framework.cs.solver = solver;
 
     const std::size_t threads =
         args.has("threads") ? args.workers("threads") : 1;
@@ -946,7 +927,6 @@ int cmd_serve(const Args& args) {
     serve.runtime.shard_count =
         shard_count > 0 ? shard_count : (shard_size == 0 ? threads : 0);
     serve.runtime.kernel_tier = tier;
-    serve.runtime.solver = solver;
     std::unique_ptr<mcs::ChaosInjector> injector;
     if (args.has("chaos")) {
         injector = std::make_unique<mcs::ChaosInjector>(
@@ -1010,7 +990,6 @@ int cmd_serve(const Args& args) {
         report["slots"] = t;
         report["window"] = serve.window;
         report["stride"] = serve.stride;
-        report["solver"] = std::string(mcs::to_string(solver));
         report["warm_start"] = serve.warm_start;
         report["threads"] = threads;
         report["uploads_accepted"] = stats.uploads_accepted;
@@ -1104,7 +1083,6 @@ int cmd_demo(const Args& args) {
         mcs::parse_kernel_tier(args.get_or("tier", "exact"));
     mcs::KernelTierScope tier_scope(tier);
     mcs::ItscsConfig config = mcs::make_config(mcs::ItscsVariant::kFull);
-    config.cs.solver = mcs::parse_solver_kind(args.get_or("solver", "asd"));
     const mcs::ItscsResult result = mcs::run_itscs(
         mcs::to_itscs_input(data), config, {}, want_stats ? &ctx : nullptr);
     const mcs::ConfusionCounts counts = mcs::evaluate_detection(
@@ -1117,8 +1095,6 @@ int cmd_demo(const Args& args) {
         mcs::Json report = mcs::Json::object();
         report["alpha"] = alpha;
         report["beta"] = beta;
-        report["solver"] =
-            std::string(mcs::to_string(config.cs.solver));
         report["precision"] = counts.precision();
         report["recall"] = counts.recall();
         report["f1"] = counts.f1();
@@ -1194,9 +1170,8 @@ int usage() {
            "           --out c.csv [--truth-faults f.csv]\n"
            "  clean    --in c.csv --participants N --slots T "
            "[--variant full|no-v|no-vt]\n"
-           "           [--solver asd|lrsd] [--estimate-velocity] "
-           "[--threads N]\n"
-           "           [--shard-size K] [--shard-count C]\n"
+           "           [--estimate-velocity] [--threads N] "
+           "[--shard-size K] [--shard-count C]\n"
            "           [--kernel-threads M] [--tier exact|fast] "
            "[--row-block-threshold K]\n"
            "           [--chaos=SPEC] [--adversary=SPEC] [--defense=SPEC] "
@@ -1208,8 +1183,7 @@ int usage() {
            "           [--stats-json]\n"
            "  serve    --in c.csv --participants N --slots T [--window W] "
            "[--stride K]\n"
-           "           [--variant V] [--solver asd|lrsd] [--threads N] "
-           "[--shard-size K]\n"
+           "           [--variant V] [--threads N] [--shard-size K]\n"
            "           [--shard-count C] [--tier exact|fast] "
            "[--chaos=SPEC] [--adversary=SPEC]\n"
            "           [--defense=SPEC] [--journal j.bin] [--resume] "
@@ -1219,7 +1193,7 @@ int usage() {
            "[--stats-json]\n"
            "  demo     [--alpha A] [--beta B] [--seed S] [--json] "
            "[--stats-json]\n"
-           "           [--solver asd|lrsd] [--tier exact|fast]\n"
+           "           [--tier exact|fast]\n"
            "  help     full flag reference (also --help / -h)\n";
     return 1;
 }

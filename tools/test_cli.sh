@@ -121,45 +121,30 @@ if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
     echo "expected chaos spec failure"; exit 1
 fi
 
-echo "== lrsd solver backend end to end =="
-"$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 --slots 60 \
-    --solver lrsd --threads 2 --shard-size 8 \
-    --out "$WORKDIR/cleaned_lrsd.csv" --report "$WORKDIR/report_lrsd.json" \
-    --stats-json > "$WORKDIR/lrsd_stats.out"
-test -s "$WORKDIR/cleaned_lrsd.csv"
-CLEANED_LRSD=$(wc -l < "$WORKDIR/cleaned_lrsd.csv")
-test "$CLEANED_LRSD" -eq 1201
-grep -q '"solver": "lrsd"' "$WORKDIR/report_lrsd.json"
-grep -q '"solver_backend": "lrsd"' "$WORKDIR/lrsd_stats.out"
-python3 - "$WORKDIR/lrsd_stats.out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    stats = json.load(f)
-counters = stats["counters"]
-assert counters["solves_lrsd"] > 0 and counters["solves_asd"] == 0, counters
-assert counters["lrsd_rounds"] > 0, counters
-print("lrsd counters OK:", counters["solves_lrsd"], "solves,",
-      counters["lrsd_rounds"], "rounds")
-EOF
-# The backend choice changes the numerics: outputs must differ from ASD.
-if cmp -s "$WORKDIR/cleaned_t1.csv" "$WORKDIR/cleaned_lrsd.csv"; then
-    echo "expected lrsd output to differ from asd"; exit 1
+echo "== there is one recovery solver: --solver is an unknown flag =="
+if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
+    --slots 60 --solver lrsd --out "$WORKDIR/never.csv" \
+    2> "$WORKDIR/solver.err"; then
+    echo "expected --solver to be refused"; exit 1
 fi
+grep -q 'unknown flag --solver' "$WORKDIR/solver.err"
 
 echo "== help enumerates every flag =="
 "$ITSCS" help > "$WORKDIR/help.out"
-grep -q -- '--solver=B' "$WORKDIR/help.out"
+if grep -q -- '--solver' "$WORKDIR/help.out"; then
+    echo "help still lists --solver"; exit 1
+fi
 grep -q -- '--chaos=SPEC' "$WORKDIR/help.out"
 grep -q -- '--checkpoint-dir=D' "$WORKDIR/help.out"
 "$ITSCS" --help > /dev/null
 
 echo "== unknown flag suggests the nearest valid name =="
-if "$ITSCS" clean --solvr lrsd --in "$WORKDIR/corrupted.csv" \
+if "$ITSCS" clean --tierr fast --in "$WORKDIR/corrupted.csv" \
     --participants 20 --slots 60 --out "$WORKDIR/never.csv" \
     2> "$WORKDIR/unknown.err"; then
     echo "expected unknown-flag failure"; exit 1
 fi
-grep -q 'unknown flag --solvr (did you mean --solver?)' "$WORKDIR/unknown.err"
+grep -q 'unknown flag --tierr (did you mean --tier?)' "$WORKDIR/unknown.err"
 
 echo "== only the exact and fast kernel tiers exist =="
 if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
@@ -198,10 +183,6 @@ fi
 if "$ITSCS" clean --in /nonexistent.csv --participants 2 --slots 2 \
     --out /tmp/x.csv 2>/dev/null; then
     echo "expected runtime failure"; exit 1
-fi
-if "$ITSCS" clean --in /nonexistent.csv --participants 2 --slots 2 \
-    --solver simplex --out /tmp/x.csv 2>/dev/null; then
-    echo "expected bad solver name failure"; exit 1
 fi
 
 echo "CLI pipeline OK"

@@ -18,11 +18,7 @@
 #                            any kernel's fast/exact speedup ratio drops
 #                            more than 20% below the baseline ratio, or
 #                            when the fast tier's CS solve does more than
-#                            0.6x the exact tier's GEMM FLOPs; then
-#                            run the cross-backend shootout (perf_pipeline
-#                            --backend-sweep --quick), which exits non-zero
-#                            on empty or non-finite results in any
-#                            {regime, solver} cell
+#                            0.6x the exact tier's GEMM FLOPs
 #   tools/verify.sh adv      adversary smoke: Release-build perf_pipeline
 #                            and run the structured-adversary degradation
 #                            sweep (--adversary-sweep --quick); the binary
@@ -93,22 +89,12 @@ asan() {
 perf() {
     echo "== perf: build (Release) =="
     cmake --preset release
-    cmake --build --preset release -j "$(nproc)" \
-        --target perf_kernels perf_pipeline
+    cmake --build --preset release -j "$(nproc)" --target perf_kernels
     echo "== perf: kernel smoke vs committed baseline =="
     ./build-release/bench/perf_kernels --quick \
         --output BENCH_kernels_smoke.json \
         --baseline BENCH_kernels.json
     rm -f BENCH_kernels_smoke.json
-    echo "== perf: backend shootout smoke (asd vs lrsd) =="
-    # Writes BENCH_backends.json in cwd; run from a scratch dir so the
-    # committed full-sweep baseline isn't clobbered by quick numbers.
-    local scratch
-    scratch="$(mktemp -d)"
-    (cd "$scratch" &&
-        "$OLDPWD/build-release/bench/perf_pipeline" --backend-sweep --quick \
-            > /dev/null)
-    rm -rf "$scratch"
 }
 
 adv() {
