@@ -5,6 +5,12 @@
 // compete on both problems, and I(TS,CS) still wins on both — showing the
 // value of the time-series detector and the velocity term rather than of
 // mere robust completion.
+//
+// The LRSD rows are truncated. LRSD stands in for the LS-decomposition of
+// arXiv:1509.03723, but on all four scenarios below lrsd_decompose stops
+// at LrsdConfig::max_iterations (8 rounds) on both axes with
+// converged = false. The rows therefore score a decomposition cut off by
+// its round limit, not its fixed point.
 #include <iostream>
 
 #include "common/format.hpp"

@@ -156,18 +156,13 @@ std::vector<KernelCase> make_cases() {
                          mcs::masked_residual_into(dst, l, r, mask, s);
                      },
                      kRows, kSlots});
-    cases.push_back({"hadamard", std::to_string(kRows) + "x" +
-                         std::to_string(kSlots),
-                     1.0 * kRows * kSlots,
-                     [](mcs::Matrix& dst) {
-                         mcs::hadamard_into(dst, s, h2);
-                     },
-                     kRows, kSlots});
     cases.push_back({"axpy", std::to_string(kRows) + "x" +
                          std::to_string(kSlots),
                      2.0 * kRows * kSlots,
                      [](mcs::Matrix& dst) {
-                         mcs::copy_into(dst, s);
+                         const auto from = s.data();
+                         std::copy(from.begin(), from.end(),
+                                   dst.data().begin());
                          mcs::axpy(dst, 0.25, h2);
                      },
                      kRows, kSlots});

@@ -1,7 +1,9 @@
 // Kernel-tier selection and CPU feature dispatch (DESIGN.md §13).
 //
-// Every `_into` kernel in linalg/kernels.hpp has two implementations, one
-// per tier:
+// The kernels an ASD solve spends its time in (the GEMM-shaped products,
+// axpy and the fused residual / line-search passes of linalg/kernels.hpp)
+// have two implementations, one per tier; the rest run the exact loops
+// under either tier:
 //
 //   * KernelTier::kExact — the seed scalar loops, bit-for-bit identical to
 //     the value-returning ops. The default, and what every bit-identity

@@ -40,7 +40,6 @@ void add_gemm_flops(PipelineCounters* counters,
 }
 
 RowExecutor* g_row_executor = nullptr;
-std::size_t g_row_block_threshold = kKernelRowBlockThreshold;
 
 // Run `body` over [0, rows): through the installed executor when the
 // destination is tall enough to amortise dispatch, serially otherwise.
@@ -50,7 +49,7 @@ void for_rows_maybe_parallel(
     std::size_t rows,
     const std::function<void(std::size_t, std::size_t)>& body) {
     RowExecutor* executor = g_row_executor;
-    if (executor == nullptr || rows < g_row_block_threshold) {
+    if (executor == nullptr || rows < kKernelRowBlockThreshold) {
         body(0, rows);
         return;
     }
@@ -70,62 +69,6 @@ void set_kernel_row_executor(RowExecutor* executor) {
 }
 
 RowExecutor* kernel_row_executor() { return g_row_executor; }
-
-std::size_t kernel_row_block_threshold() { return g_row_block_threshold; }
-
-void set_kernel_row_block_threshold(std::size_t threshold) {
-    g_row_block_threshold =
-        threshold == 0 ? kKernelRowBlockThreshold : threshold;
-}
-
-void copy_into(Matrix& dst, const Matrix& src) {
-    check_shape(dst, src.rows(), src.cols(), "copy_into");
-    const auto in = src.data();
-    auto out = dst.data();
-    for (std::size_t k = 0; k < in.size(); ++k) {
-        out[k] = in[k];
-    }
-}
-
-void subtract_into(Matrix& dst, const Matrix& a, const Matrix& b) {
-    MCS_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
-                  "subtract_into: shape mismatch " + a.shape_string() +
-                      " vs " + b.shape_string());
-    check_shape(dst, a.rows(), a.cols(), "subtract_into");
-    check_not_aliased(dst, a, "subtract_into");
-    check_not_aliased(dst, b, "subtract_into");
-    const auto da = a.data();
-    const auto db = b.data();
-    auto out = dst.data();
-    if (use_fast_tier()) {
-        fastk::fast_kernels().subtract(out.data(), da.data(), db.data(),
-                                       out.size());
-        return;
-    }
-    for (std::size_t k = 0; k < da.size(); ++k) {
-        out[k] = da[k] - db[k];
-    }
-}
-
-void hadamard_into(Matrix& dst, const Matrix& a, const Matrix& b) {
-    MCS_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
-                  "hadamard_into: shape mismatch " + a.shape_string() +
-                      " vs " + b.shape_string());
-    check_shape(dst, a.rows(), a.cols(), "hadamard_into");
-    check_not_aliased(dst, a, "hadamard_into");
-    check_not_aliased(dst, b, "hadamard_into");
-    const auto da = a.data();
-    const auto db = b.data();
-    auto out = dst.data();
-    if (use_fast_tier()) {
-        fastk::fast_kernels().hadamard(out.data(), da.data(), db.data(),
-                                       out.size());
-        return;
-    }
-    for (std::size_t k = 0; k < da.size(); ++k) {
-        out[k] = da[k] * db[k];
-    }
-}
 
 void axpy(Matrix& y, double alpha, const Matrix& x) {
     check_shape(y, x.rows(), x.cols(), "axpy");
@@ -333,17 +276,6 @@ void gram_with_ridge_into(Matrix& dst, const Matrix& a, double ridge,
     transpose_multiply_into(dst, a, a, counters);
     for (std::size_t i = 0; i < dst.rows(); ++i) {
         dst(i, i) += ridge;
-    }
-}
-
-void temporal_diff_into(Matrix& dst, const Matrix& x) {
-    check_shape(dst, x.rows(), x.cols(), "temporal_diff_into");
-    check_not_aliased(dst, x, "temporal_diff_into");
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-        dst(i, 0) = 0.0;
-        for (std::size_t j = 1; j < x.cols(); ++j) {
-            dst(i, j) = x(i, j) - x(i, j - 1);
-        }
     }
 }
 

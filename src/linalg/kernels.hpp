@@ -13,14 +13,19 @@
 //     (MCS_CHECK at entry), because a silent resize is a silent allocation;
 //   * dst is fully overwritten, so stale contents of a recycled buffer
 //     never leak through;
-//   * dst must not alias any input (axpy's y and copy_into's trivial
-//     self-copy excepted) — MCS_CHECK-rejected at entry;
+//   * dst must not alias any input (axpy's in-place y excepted) —
+//     MCS_CHECK-rejected at entry;
 //   * under the default KernelTier::kExact, results are bit-for-bit
 //     identical to the matching value-returning op (same loop order, same
 //     rounding) — asserted by linalg_kernels_test. Under KernelTier::kFast
-//     (see linalg/kernel_tier.hpp) the GEMM-shaped kernels, hadamard_into
-//     and axpy dispatch to SIMD micro-kernels that agree to ≤1e-12
-//     relative and are deterministic run-to-run and across thread counts.
+//     (see linalg/kernel_tier.hpp) the GEMM-shaped kernels, axpy and the
+//     folded ASD passes dispatch to SIMD micro-kernels that agree to
+//     ≤1e-12 relative and are deterministic run-to-run and across thread
+//     counts.
+//
+// Only kernels that a solve calls (the ASD objective and step in cs/, the
+// randomized range finder in linalg/svd.cpp) live here; element-wise
+// one-offs use the value-returning ops.
 //
 // GEMM-shaped kernels take an optional PipelineCounters* and add 2·m·n·k
 // FLOPs per product, so instrumented pipelines can report arithmetic volume.
@@ -72,27 +77,7 @@ RowExecutor* kernel_row_executor();
 
 /// Destinations with fewer rows run serially even when an executor is
 /// installed: below this, block-dispatch overhead beats the arithmetic.
-/// Compile-time default; tune at runtime with
-/// set_kernel_row_block_threshold (RuntimeConfig::kernel_row_block_threshold).
 constexpr std::size_t kKernelRowBlockThreshold = 64;
-
-/// The threshold the kernels actually consult (defaults to
-/// kKernelRowBlockThreshold). Same non-synchronised install contract as
-/// set_kernel_row_executor: change it only while no kernels are running.
-std::size_t kernel_row_block_threshold();
-
-/// Set the runtime row-block threshold; 0 restores the compile-time
-/// default.
-void set_kernel_row_block_threshold(std::size_t threshold);
-
-/// dst = src (same shape).
-void copy_into(Matrix& dst, const Matrix& src);
-
-/// dst = a − b (same shape).
-void subtract_into(Matrix& dst, const Matrix& a, const Matrix& b);
-
-/// dst = a ∘ b, element-wise product (same shape).
-void hadamard_into(Matrix& dst, const Matrix& a, const Matrix& b);
 
 /// y += alpha · x (same shape). The in-place update of the BLAS axpy.
 void axpy(Matrix& y, double alpha, const Matrix& x);
@@ -122,17 +107,16 @@ void masked_residual_into(Matrix& dst, const Matrix& l, const Matrix& r,
 void gram_with_ridge_into(Matrix& dst, const Matrix& a, double ridge,
                           PipelineCounters* counters = nullptr);
 
-/// dst = X·𝕋 with the first column zeroed (see linalg/temporal.hpp).
-void temporal_diff_into(Matrix& dst, const Matrix& x);
-
-/// Adjoint of temporal_diff_into under the Frobenius inner product.
+/// dst = Δᵀe: the adjoint, under the Frobenius inner product, of the
+/// temporal difference X·𝕋 with its first column zeroed (see
+/// linalg/temporal.hpp).
 void temporal_diff_adjoint_into(Matrix& dst, const Matrix& e);
 
 // ---- Fused ASD passes (DESIGN.md §13) ----------------------------------
 //
 // One pass over the data-sized operands instead of a chain of element-wise
 // kernels, so an ASD half-step never materialises P∘mask or ΔP. Δ is the
-// temporal difference of temporal_diff_into. The split kernels are the
+// temporal difference X·𝕋 of linalg/temporal.hpp. The split kernels are the
 // exact tier's: each output and each sum takes the same per-element
 // arithmetic, in the same row-major order, as the separate kernels and
 // frobenius_* reductions they replace, so they are bit-identical to them.

@@ -126,21 +126,9 @@ void masked_residual_rows(double* dst, const double* l, const double* r,
     }
 }
 
-void hadamard(double* dst, const double* a, const double* b, std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        dst[k] = a[k] * b[k];
-    }
-}
-
 void axpy(double* y, double alpha, const double* x, std::size_t n) {
     for (std::size_t k = 0; k < n; ++k) {
         y[k] += alpha * x[k];
-    }
-}
-
-void subtract(double* dst, const double* a, const double* b, std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        dst[k] = a[k] - b[k];
     }
 }
 
@@ -498,18 +486,6 @@ void masked_residual_rows(double* dst, const double* l, const double* r,
 }
 
 MCS_TARGET_AVX2
-void hadamard(double* dst, const double* a, const double* b, std::size_t n) {
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        _mm256_storeu_pd(dst + k, _mm256_mul_pd(_mm256_loadu_pd(a + k),
-                                                _mm256_loadu_pd(b + k)));
-    }
-    for (; k < n; ++k) {
-        dst[k] = a[k] * b[k];
-    }
-}
-
-MCS_TARGET_AVX2
 void axpy(double* y, double alpha, const double* x, std::size_t n) {
     const __m256d va = _mm256_set1_pd(alpha);
     std::size_t k = 0;
@@ -520,18 +496,6 @@ void axpy(double* y, double alpha, const double* x, std::size_t n) {
     }
     for (; k < n; ++k) {
         y[k] = std::fma(alpha, x[k], y[k]);
-    }
-}
-
-MCS_TARGET_AVX2
-void subtract(double* dst, const double* a, const double* b, std::size_t n) {
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        _mm256_storeu_pd(dst + k, _mm256_sub_pd(_mm256_loadu_pd(a + k),
-                                                _mm256_loadu_pd(b + k)));
-    }
-    for (; k < n; ++k) {
-        dst[k] = a[k] - b[k];
     }
 }
 
@@ -748,16 +712,6 @@ void masked_residual_rows(double* dst, const double* l, const double* r,
     }
 }
 
-void hadamard(double* dst, const double* a, const double* b, std::size_t n) {
-    std::size_t k = 0;
-    for (; k + 2 <= n; k += 2) {
-        vst1q_f64(dst + k, vmulq_f64(vld1q_f64(a + k), vld1q_f64(b + k)));
-    }
-    for (; k < n; ++k) {
-        dst[k] = a[k] * b[k];
-    }
-}
-
 void axpy(double* y, double alpha, const double* x, std::size_t n) {
     const float64x2_t va = vdupq_n_f64(alpha);
     std::size_t k = 0;
@@ -766,16 +720,6 @@ void axpy(double* y, double alpha, const double* x, std::size_t n) {
     }
     for (; k < n; ++k) {
         y[k] = std::fma(alpha, x[k], y[k]);
-    }
-}
-
-void subtract(double* dst, const double* a, const double* b, std::size_t n) {
-    std::size_t k = 0;
-    for (; k + 2 <= n; k += 2) {
-        vst1q_f64(dst + k, vsubq_f64(vld1q_f64(a + k), vld1q_f64(b + k)));
-    }
-    for (; k < n; ++k) {
-        dst[k] = a[k] - b[k];
     }
 }
 
@@ -788,9 +732,7 @@ FastKernels resolve_table() {
                   &blocked::multiply_transposed_rows,
                   &blocked::transpose_multiply,
                   &blocked::masked_residual_rows,
-                  &blocked::hadamard,
                   &blocked::axpy,
-                  &blocked::subtract,
                   &blocked::folded_residual,
                   &blocked::folded_line_search_sums};
 #if defined(MCS_HAVE_X86_DISPATCH)
@@ -800,9 +742,7 @@ FastKernels resolve_table() {
                         &avx2::multiply_transposed_rows,
                         &avx2::transpose_multiply,
                         &avx2::masked_residual_rows,
-                        &avx2::hadamard,
                         &avx2::axpy,
-                        &avx2::subtract,
                         &avx2::folded_residual,
                         &avx2::folded_line_search_sums};
     }
@@ -812,9 +752,7 @@ FastKernels resolve_table() {
                     &neon::multiply_transposed_rows,
                     &neon::transpose_multiply,
                     &neon::masked_residual_rows,
-                    &neon::hadamard,
                     &neon::axpy,
-                    &neon::subtract,
                     &blocked::folded_residual,
                     &blocked::folded_line_search_sums};
 #endif

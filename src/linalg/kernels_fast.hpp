@@ -6,6 +6,7 @@
 // These operate on raw row-major buffers — the Matrix-level contracts
 // (shape checks, alias checks, FLOP counters, RowExecutor fan-out, tier
 // selection) all live in linalg/kernels.cpp, which is the only caller.
+// A slot exists only for a kernel a solve spends its time in.
 // Row-range kernels compute destination rows [lo, hi); crucially, the
 // arithmetic performed for any single destination element depends only on
 // the operand shapes, never on the [lo, hi) grouping — that is the fast
@@ -51,16 +52,8 @@ struct FastKernels {
                                  std::size_t hi, std::size_t n,
                                  std::size_t rank);
 
-    /// dst[i] = a[i] * b[i] for i in [0, n).
-    void (*hadamard)(double* dst, const double* a, const double* b,
-                     std::size_t n);
-
     /// y[i] += alpha * x[i] for i in [0, n).
     void (*axpy)(double* y, double alpha, const double* x, std::size_t n);
-
-    /// dst[i] = a[i] - b[i] for i in [0, n).
-    void (*subtract)(double* dst, const double* a, const double* b,
-                     std::size_t n);
 
     /// Full dst(rows x cols) = (x∘mask − s) + lambda·Δᵀ(Δx − c), where
     /// Δ is the temporal difference with its first column zeroed

@@ -222,11 +222,12 @@ SlabStore::SlabStore(const std::string& dir, const SlabGeometry& geometry,
 SlabStore::SlabStore(const std::string& dir) : dir_(dir) {
     MCS_CHECK_MSG(!dir_.empty(), "SlabStore: empty directory");
     const FrameScan scan = scan_frames(dir_ + "/slabs.meta");
-    MCS_CHECK_MSG(scan.frames.size() == 1 && scan.corrupt_frames == 0 &&
-                      !scan.torn_tail,
-                  "SlabStore: " + dir_ +
-                      "/slabs.meta is missing or corrupt; delete the slab "
-                      "directory and re-ingest");
+    if (scan.frames.size() != 1 || scan.corrupt_frames != 0 ||
+        scan.torn_tail) {
+        throw Error("SlabStore: " + dir_ +
+                    "/slabs.meta is missing or corrupt; delete the slab "
+                    "directory and re-ingest");
+    }
     decode_meta(scan.frames.front(), &geometry_, &shards_);
     check_layout(geometry_, shards_);
     map_file(/*truncate_to_size=*/true);

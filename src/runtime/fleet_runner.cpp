@@ -48,8 +48,7 @@ std::uint64_t runtime_fingerprint(const RuntimeConfig& config) {
     h.mix_u64(config.seed);
     h.mix_u64(config.guard ? 1 : 0);
     // kernel_tier changes the numerics and is *also* stored as an explicit
-    // manifest field (clearer refusal message than a fingerprint mismatch);
-    // kernel_row_block_threshold is scheduling-only and excluded.
+    // manifest field (clearer refusal message than a fingerprint mismatch).
     h.mix_u64(static_cast<std::uint64_t>(config.kernel_tier));
     h.mix_u64(config.health.divergence_patience);
     h.mix_f64(config.health.divergence_slack);
@@ -140,26 +139,6 @@ std::size_t sanitize_non_finite(ItscsInput& in) {
     }
     return cleared;
 }
-
-// RAII application of RuntimeConfig::kernel_row_block_threshold for the
-// duration of a run (0 = leave the process default untouched). The knob is
-// a process global with the same install contract as the row executor, so
-// the scope lives where the executor scope does: around the whole run.
-class RowBlockThresholdScope {
-public:
-    explicit RowBlockThresholdScope(std::size_t threshold)
-        : previous_(kernel_row_block_threshold()) {
-        if (threshold != 0) {
-            set_kernel_row_block_threshold(threshold);
-        }
-    }
-    ~RowBlockThresholdScope() { set_kernel_row_block_threshold(previous_); }
-    RowBlockThresholdScope(const RowBlockThresholdScope&) = delete;
-    RowBlockThresholdScope& operator=(const RowBlockThresholdScope&) = delete;
-
-private:
-    std::size_t previous_;
-};
 
 // Copy the shard's member rows of `src` into the shard-sized `dst` —
 // contiguous [begin, end) for row plans, the explicit member list for
@@ -809,10 +788,11 @@ FleetResult FleetRunner::run_shards(const std::vector<Shard>& shards,
             // belongs to a different run — resuming it would fabricate
             // results, so refuse loudly instead of quietly starting over.
             const std::string why = manifest.mismatch(store->read_manifest());
-            MCS_CHECK_MSG(why.empty(),
-                          "checkpoint resume refused (" + why +
-                              "); delete " + config_.checkpoint_dir +
-                              " or drop --resume to start over");
+            if (!why.empty()) {
+                throw Error("checkpoint resume refused (" + why +
+                            "); delete " + config_.checkpoint_dir +
+                            " or drop --resume to start over");
+            }
 
             CheckpointLoad load = store->load();
             cp.corrupt_frames = load.corrupt_frames;
@@ -883,7 +863,6 @@ FleetResult FleetRunner::run_shards(const std::vector<Shard>& shards,
     // Opt-in row-blocked kernel parallelism for the duration of the run;
     // dormant underneath shard workers (they run kernels inline).
     KernelParallelScope kernel_scope(config_.kernel_threads);
-    RowBlockThresholdScope threshold_scope(config_.kernel_row_block_threshold);
 
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     auto run_shard = [&](std::size_t s, std::size_t next) {

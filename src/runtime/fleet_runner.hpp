@@ -87,7 +87,9 @@ struct RuntimeConfig {
 
     /// Row-blocked kernel parallelism (KernelParallelScope) during run():
     /// <= 1 is off. Pays off on the sequential path (threads == 1) with
-    /// tall shards; shard workers always run their kernels inline.
+    /// tall shards; destinations below kKernelRowBlockThreshold rows and
+    /// shard workers always run their kernels inline. Never affects
+    /// results.
     std::size_t kernel_threads = 1;
 
     /// Numerical kernel tier for every shard (CLI: --tier). kExact (the
@@ -114,12 +116,6 @@ struct RuntimeConfig {
     /// window leaves out solver scratch, so it does not cap RSS
     /// (BENCH_scale.json: 105.9 MB peak against a 64.5 MB window).
     std::size_t memory_budget_mb = 0;
-
-    /// Runtime override of the kernel row-block threshold (CLI:
-    /// --row-block-threshold); 0 keeps kKernelRowBlockThreshold. Pure
-    /// scheduling — never affects results — so it is excluded from the
-    /// checkpoint fingerprint, like `threads`.
-    std::size_t kernel_row_block_threshold = 0;
 
     /// Root seed; shard i's PipelineContext is seeded with the i-th draw
     /// of Rng(seed), independent of thread count.

@@ -22,10 +22,9 @@ public:
             return;
         }
         // Grain keeps blocks at least half the serial threshold so the
-        // per-block dispatch cost stays amortised even on short kernels
-        // (tracks the runtime knob, not just the compile-time default).
+        // per-block dispatch cost stays amortised even on short kernels.
         const std::size_t grain = std::max<std::size_t>(
-            kernel_row_block_threshold() / 2,
+            kKernelRowBlockThreshold / 2,
             rows / (2 * std::max<std::size_t>(1, pool_.size())));
         pool_.parallel_for(0, rows, grain, block);
     }

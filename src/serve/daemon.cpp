@@ -212,14 +212,16 @@ void IngestDaemon::replay_journal() {
         writer_->append(encode_stream_header(stream_header_of(config_)));
         return;
     }
-    MCS_CHECK_MSG(is_stream_header(scan.frames.front()),
-                  "ingest journal: first frame is not a stream header; "
-                  "delete " + config_.journal_path + " to start over");
+    if (!is_stream_header(scan.frames.front())) {
+        throw Error("ingest journal: first frame is not a stream header; "
+                    "delete " + config_.journal_path + " to start over");
+    }
     const StreamHeader stored = decode_stream_header(scan.frames.front());
     const std::string why = stream_header_of(config_).mismatch(stored);
-    MCS_CHECK_MSG(why.empty(),
-                  "ingest journal resume refused (" + why + "); delete " +
-                      config_.journal_path + " or drop resume");
+    if (!why.empty()) {
+        throw Error("ingest journal resume refused (" + why + "); delete " +
+                    config_.journal_path + " or drop resume");
+    }
 
     std::vector<std::vector<std::uint8_t>> kept;
     kept.reserve(scan.frames.size());

@@ -384,9 +384,12 @@ TEST(RuntimeCheckpointTest, OlderManifestVersionRefusesNamingBoth) {
             "version differs (stored " +
             std::to_string(kCheckpointVersion - 1) + ", this run " +
             std::to_string(kCheckpointVersion) + ")";
-        EXPECT_NE(std::string(error.what()).find(expected),
-                  std::string::npos)
-            << error.what();
+        const std::string what = error.what();
+        EXPECT_NE(what.find(expected), std::string::npos) << what;
+        // An operator-facing refusal: the message alone, with no check
+        // expression or source location.
+        EXPECT_EQ(what.find("MCS_CHECK failed"), std::string::npos) << what;
+        EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
     }
 }
 

@@ -601,7 +601,19 @@ TEST(IngestDaemon, ResumeRefusesMismatchedStream) {
     wrong.journal_path = dir.journal();
     wrong.resume = true;
     IngestDaemon daemon(wrong);
-    EXPECT_THROW(daemon.start(), Error);
+    try {
+        daemon.start();
+        FAIL() << "expected the stream mismatch to throw";
+    } catch (const Error& error) {
+        // An operator-facing refusal: the message alone, with no check
+        // expression or source location.
+        const std::string what = error.what();
+        EXPECT_NE(what.find("ingest journal resume refused"),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(what.find("MCS_CHECK failed"), std::string::npos) << what;
+        EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
 }
 
 TEST(IngestDaemon, ResumeSurvivesCorruptFrames) {

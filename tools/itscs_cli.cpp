@@ -18,7 +18,6 @@
 //                  [--variant full|no-v|no-vt] [--estimate-velocity]
 //                  [--threads N] [--shard-size K] [--shard-count C]
 //                  [--kernel-threads M] [--tier exact|fast]
-//                  [--row-block-threshold K]
 //                  [--chaos=SPEC] [--adversary=SPEC] [--defense=SPEC]
 //                  [--failure-report fr.json]
 //                  [--shard-deadline S]
@@ -36,10 +35,9 @@
 //       --kernel-threads enables row-blocked kernel parallelism instead
 //       of (or alongside) sharding. --tier fast switches the GEMM-shaped
 //       kernels to the SIMD tier (linalg/kernel_tier.hpp) — deterministic,
-//       but not bit-identical to the default exact tier — and
-//       --row-block-threshold overrides the minimum destination rows for
-//       row-blocked dispatch; both are echoed (with the detected CPU
-//       features and per-kernel FLOP totals) in --report and --stats-json.
+//       but not bit-identical to the default exact tier — and is echoed
+//       (with the detected CPU features, the row-block threshold and
+//       per-kernel FLOP totals) in --report and --stats-json.
 //       --chaos injects faults per the
 //       DESIGN.md §11 spec grammar (nan=p,inf=p,dup=p,diverge=p,throw=p,
 //       cells=q,seed=u,crash=k); --adversary injects structured faults per
@@ -132,14 +130,14 @@
 namespace {
 
 // The kernel stack as it is configured right now: tier, resolved fast
-// path, CPU features, and the active row-block threshold. Attached to both
-// --report and --stats-json output so a perf number can always be traced
-// back to the code path that produced it.
+// path, CPU features, and the (constant) row-block threshold. Attached to
+// both --report and --stats-json output so a perf number can always be
+// traced back to the code path that produced it.
 mcs::Json kernel_info(mcs::KernelTier tier) {
     mcs::Json out = mcs::Json::object();
     out["tier"] = std::string(mcs::to_string(tier));
     out["fast_path"] = std::string(mcs::fast_kernel_path());
-    out["row_block_threshold"] = mcs::kernel_row_block_threshold();
+    out["row_block_threshold"] = mcs::kKernelRowBlockThreshold;
     const mcs::CpuFeatures& f = mcs::cpu_features();
     mcs::Json cpu = mcs::Json::object();
     cpu["avx2"] = f.avx2;
@@ -260,7 +258,6 @@ const std::vector<FlagSpec>& known_flags(const std::string& command) {
         {"slab-dir", "DIR", "out-of-core slab store; stream shards via mmap"},
         {"storage", "S", "slab storage tier: f64 | f32 (with --slab-dir)"},
         {"memory-budget", "MB", "resident-window ceiling for --slab-dir"},
-        {"row-block-threshold", "K", "min rows for row-blocked dispatch"},
         {"chaos", "SPEC", "fault injection per DESIGN.md §11 grammar"},
         {"adversary", "SPEC", "structured adversary per DESIGN.md §16"},
         {"defense", "SPEC", "defence suite per DESIGN.md §17"},
@@ -551,16 +548,10 @@ int cmd_clean(const Args& args) {
                                   : 1;
     const mcs::KernelTier tier =
         mcs::parse_kernel_tier(args.get_or("tier", "exact"));
-    const std::size_t row_block_threshold =
-        args.has("row-block-threshold") ? args.count("row-block-threshold")
-                                        : 0;
-    // Ambient tier + threshold for the whole command: covers the
-    // single-run path directly; FleetRunner re-installs the same values
-    // per shard from its RuntimeConfig.
+    // Ambient tier for the whole command: covers the single-run path
+    // directly; FleetRunner re-installs the same tier per shard from its
+    // RuntimeConfig.
     mcs::KernelTierScope tier_scope(tier);
-    if (row_block_threshold != 0) {
-        mcs::set_kernel_row_block_threshold(row_block_threshold);
-    }
     std::optional<mcs::ChaosConfig> chaos_config;
     if (args.has("chaos")) {
         chaos_config = mcs::ChaosConfig::parse(args.get("chaos"));
@@ -619,7 +610,6 @@ int cmd_clean(const Args& args) {
         runtime.kernel_tier = tier;
         runtime.storage = storage;
         runtime.memory_budget_mb = memory_budget;
-        runtime.kernel_row_block_threshold = row_block_threshold;
         runtime.health.deadline_seconds = shard_deadline;
         runtime.checkpoint_dir = args.get_or("checkpoint-dir", "");
         runtime.resume = args.has("resume");
@@ -753,8 +743,6 @@ int cmd_clean(const Args& args) {
             runtime["threads"] = threads;
             runtime["kernel_threads"] = kernel_threads;
             runtime["kernel_tier"] = std::string(mcs::to_string(tier));
-            runtime["row_block_threshold"] =
-                mcs::kernel_row_block_threshold();
             // The *resolved* decomposition, so a report from a run that
             // leaned on machine defaults still states what actually ran.
             runtime["shard_size"] = shard_size;
@@ -1172,8 +1160,7 @@ int usage() {
            "[--variant full|no-v|no-vt]\n"
            "           [--estimate-velocity] [--threads N] "
            "[--shard-size K] [--shard-count C]\n"
-           "           [--kernel-threads M] [--tier exact|fast] "
-           "[--row-block-threshold K]\n"
+           "           [--kernel-threads M] [--tier exact|fast]\n"
            "           [--chaos=SPEC] [--adversary=SPEC] [--defense=SPEC] "
            "[--failure-report fr.json]\n"
            "           [--shard-deadline S] [--checkpoint-dir D] "

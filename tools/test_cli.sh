@@ -129,11 +129,23 @@ if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
 fi
 grep -q 'unknown flag --solver' "$WORKDIR/solver.err"
 
+echo "== the row-block threshold is a constant: --row-block-threshold is an unknown flag =="
+if "$ITSCS" clean --in "$WORKDIR/corrupted.csv" --participants 20 \
+    --slots 60 --row-block-threshold 8 --out "$WORKDIR/never.csv" \
+    2> "$WORKDIR/row_block.err"; then
+    echo "expected --row-block-threshold to be refused"; exit 1
+fi
+grep -q 'unknown flag --row-block-threshold' "$WORKDIR/row_block.err"
+
 echo "== help enumerates every flag =="
 "$ITSCS" help > "$WORKDIR/help.out"
 if grep -q -- '--solver' "$WORKDIR/help.out"; then
     echo "help still lists --solver"; exit 1
 fi
+if grep -q -- '--row-block' "$WORKDIR/help.out"; then
+    echo "help still lists --row-block-threshold"; exit 1
+fi
+grep -q -- '--kernel-threads=M' "$WORKDIR/help.out"
 grep -q -- '--chaos=SPEC' "$WORKDIR/help.out"
 grep -q -- '--checkpoint-dir=D' "$WORKDIR/help.out"
 "$ITSCS" --help > /dev/null
